@@ -6,7 +6,8 @@ trailing-axis layout, so a batch of frames can be processed as a 2-D array
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,23 +41,30 @@ class Prbs:
         self._fb_mask = taps & ((1 << degree) - 1)
 
     def generate(self, n: int) -> np.ndarray:
-        """Emit the next ``n`` bits, advancing the register."""
+        """Emit the next ``n`` bits, advancing the register.
+
+        The feedback for the next ``degree - max_tap`` bits reads only bits
+        already in the register, so the register advances a whole word of
+        that many bits per step instead of one bit at a time.
+        """
         if n < 0:
             raise ValueError("bit count must be non-negative")
-        out = np.empty(n, dtype=np.uint8)
-        state = self.state
+        r = self.degree
         mask = self._fb_mask
-        top = self.degree - 1
-        for i in range(n):
-            out[i] = state & 1
-            fb = (state & mask).bit_count() & 1
-            state = (state >> 1) | (fb << top)
+        width = min(r - (mask.bit_length() - 1), 64)
+        shifts = [p for p in range(1, r) if (mask >> p) & 1]
+        state = self.state
+        words = []
+        for step in [width] * (n // width) + [n % width]:
+            fb = state
+            for p in shifts:
+                fb ^= state >> p
+            words.append(state & ((1 << step) - 1))
+            state = (state >> step) | ((fb & ((1 << step) - 1)) << (r - step))
         self.state = state
-        return out
-
-
-def prbs_generate(prbs: Prbs, n: int) -> np.ndarray:
-    return prbs.generate(n)
+        packed = np.array(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :width]
+        return bits.reshape(-1)[:n]
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,8 @@ class ConvCode:
     generators: tuple[int, int] = (0o7, 0o5)
 
     def __post_init__(self):
+        # a tuple keeps the code hashable: decoder tables are cached per code
+        object.__setattr__(self, "generators", tuple(self.generators))
         if len(self.generators) != 2:
             raise ValueError("rate-1/2 code needs exactly two generators")
         k = self.constraint_length
@@ -153,23 +163,40 @@ def conv_encode(data: np.ndarray, code: ConvCode = ConvCode()) -> np.ndarray:
     return out.reshape(data.shape[:-1] + (2 * n_steps,))
 
 
-def _trellis_tables(code: ConvCode):
-    """Predecessor and branch-output tables indexed by (next_state, branch)."""
+@functools.lru_cache(maxsize=None)
+def _branch_metrics(code: ConvCode) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only branch-metric tables of one code, laid out for butterflies.
+
+    State s holds the K-1 newest input bits, newest in the LSB.  Its two
+    predecessors are ``(s >> 1) + j * n_states/2`` for branch j = 0, 1, so
+    metrics viewed as ``(2, n_states/2)`` are indexed ``[j, s >> 1]`` and the
+    new metrics, viewed as ``(n_states/2, 2)``, ``[s >> 1, s & 1]``.  Steps t
+    and t+1 form one radix-4 step: state s'' after t+1 is reached through
+    s' = (s'' >> 1) + j1 * n_states/2 from p = (s' >> 1) + j0 * n_states/2.
+    A received bit pair is coded r = 2*r0 + r1, a pair of pairs
+    r2 = 4*r_t + r_t+1.  Returns
+
+    * ``bm1``, shape (2, n_states/2, 2, 4): ``[j, s >> 1, s & 1, r]``;
+    * ``bm2``, shape (2, 2, n_u, n_v, 16): ``[j0, j1, s'' // n_v, s'' % n_v, r2]``
+      with n_v = min(n_states, 4), the metric of both steps together.
+    """
     k = code.constraint_length
-    n_states = code.n_states
-    pred = np.empty((n_states, 2), dtype=np.intp)
-    out0 = np.empty((n_states, 2), dtype=np.uint8)
-    out1 = np.empty((n_states, 2), dtype=np.uint8)
-    g0, g1 = code.generators
-    for s_next in range(n_states):
-        b = s_next & 1
-        for j in range(2):
-            s_prev = (s_next >> 1) | (j << (k - 2))
-            w = (s_prev << 1) | b
-            pred[s_next, j] = s_prev
-            out0[s_next, j] = (w & g0).bit_count() & 1
-            out1[s_next, j] = (w & g1).bit_count() & 1
-    return pred, out0, out1
+    n = code.n_states
+    s = np.arange(n)
+    prev = (s >> 1) | (np.arange(2)[:, None] << (k - 2))       # [j, s]
+    window = (prev << 1) | (s & 1)
+    outs = [np.array([(int(w) & g).bit_count() & 1 for w in window.ravel()]).reshape(2, n)
+            for g in code.generators]
+    r = np.arange(4)[:, None, None]
+    bm1 = (outs[0] ^ (r >> 1)) + (outs[1] ^ (r & 1))          # [r, j, s]
+    # [r_t, r_t+1, j0, j1, s''] = bm_t(s', j0) + bm_t+1(s'', j1)
+    bm2 = bm1[:, None, :, prev] + bm1[None, :, None, :, :]
+    n_v = min(n, 4)
+    bm1 = np.moveaxis(bm1, 0, -1).reshape(2, n // 2, 2, 4).astype(np.uint8)
+    bm2 = np.moveaxis(bm2.reshape(16, 2, 2, n // n_v, n_v), 0, -1).astype(np.uint8)
+    bm1.flags.writeable = False
+    bm2.flags.writeable = False
+    return bm1, bm2
 
 
 def viterbi_decode(coded: np.ndarray, code: ConvCode = ConvCode()) -> np.ndarray:
@@ -177,7 +204,8 @@ def viterbi_decode(coded: np.ndarray, code: ConvCode = ConvCode()) -> np.ndarray
 
     Accepts a single stream or a batch ``(n_frames, n_coded)``; every frame
     must have the same length.  Metric ties prefer the lower-indexed
-    predecessor state, which makes the decoder deterministic.
+    predecessor state, which makes the decoder deterministic.  Steps are
+    taken two at a time (radix 4); an odd first step is taken alone.
     """
     coded = np.asarray(coded, dtype=np.uint8)
     single = coded.ndim == 1
@@ -192,29 +220,65 @@ def viterbi_decode(coded: np.ndarray, code: ConvCode = ConvCode()) -> np.ndarray
     if n_steps < k - 1:
         raise FramingError(f"{n_steps} coded pairs cannot hold a {k - 1}-bit flush tail")
 
-    pred, out0, out1 = _trellis_tables(code)
+    bm1, bm2 = _branch_metrics(code)
     n_frames = rx.shape[0]
-    n_states = code.n_states
-    big = np.int32(1 << 24)
+    n = code.n_states
+    n_u, n_v = bm2.shape[2:4]
+    odd = n_steps % 2
+    n_pairs = n_steps // 2
+    r = (rx[:, 0::2] << 1) | rx[:, 1::2]
 
-    metric = np.full((n_frames, n_states), big, dtype=np.int32)
-    metric[:, 0] = 0
-    back = np.empty((n_frames, n_steps, n_states), dtype=np.uint8)
-    r0 = rx[:, 0::2].astype(np.int32)
-    r1 = rx[:, 1::2].astype(np.int32)
-    for t in range(n_steps):
-        bm = (out0[None, :, :] ^ r0[:, t, None, None]) + (out1[None, :, :] ^ r1[:, t, None, None])
-        cand = metric[:, pred] + bm
-        take1 = cand[:, :, 1] < cand[:, :, 0]
-        metric = np.where(take1, cand[:, :, 1], cand[:, :, 0])
-        back[:, t, :] = take1
+    # metrics and decisions keep the frame axis last, so each ufunc call
+    # below runs contiguous inner loops over all frames
+    metric = np.full((n, n_frames), 1 << 24, dtype=np.int32)
+    metric[0] = 0
+    if odd:
+        # the first step's decisions are never traced back through
+        cand = metric.reshape(2, n // 2, 1, n_frames) + bm1[..., r[:, 0]]
+        np.minimum(cand[0], cand[1], out=metric.reshape(n // 2, 2, n_frames))
 
-    # terminated trellis: trace back from the all-zero state
+    bm = np.moveaxis(bm2[..., (r[:, odd::2] << 2 | r[:, odd + 1 :: 2]).T], -2, 0)
+    dec0 = np.empty((n_pairs, 2, n_u, n_v, n_frames), dtype=bool)
+    dec1 = np.empty((n_pairs, n_u, n_v, n_frames), dtype=bool)
+    cand = np.empty((2, 2, n_u, n_v, n_frames), dtype=np.int32)
+    best = np.empty((2, n_u, n_v, n_frames), dtype=np.int32)
+    m_in = metric.reshape(2, n // (2 * n_u), n_u, 1, n_frames)
+    m_out = metric.reshape(n_u, n_v, n_frames)
+    for i in range(n_pairs):
+        np.add(m_in, bm[i], out=cand)
+        np.less(cand[1], cand[0], out=dec0[i])
+        np.minimum(cand[0], cand[1], out=best)
+        np.less(best[1], best[0], out=dec1[i])
+        np.minimum(best[0], best[1], out=m_out)
+
+    # Trace back two steps at a time through flat indices state * n_frames +
+    # frame, starting from the all-zero state the flush tail leaves.  State
+    # s'' came from p = (s'' >> 2) + j1 * n_states/4 + j0 * n_states/2, where
+    # j0 is the step-t decision of the s' that s'' chose with j1.
+    j1 = dec1.reshape(n_pairs, n, n_frames)
+    j0 = dec0.reshape(n_pairs, 2, n, n_frames)
+    j0 = (j0[:, 1] & j1) | (j0[:, 0] & ~j1)
+    frames = np.arange(n_frames, dtype=np.int32)
+    links = j0.astype(np.int32)
+    links *= (n // 2) * n_frames
+    step = j1.astype(np.int32)
+    step *= (n // 4) * n_frames
+    links += step
+    links += (np.arange(n, dtype=np.int32)[:, None] >> 2) * n_frames + frames
+    flat = frames
+    ends = np.empty((n_pairs, n_frames), dtype=np.int32)
+    for i in range(n_pairs - 1, -1, -1):
+        ends[i] = flat
+        flat = links[i].take(flat)
+    via = np.take_along_axis(j1.reshape(n_pairs, n * n_frames), ends, axis=1)
+    ends //= n_frames
+
+    # the state after each step holds that step's input bit in its LSB; the
+    # state after step t of a pair is s' = (s'' >> 1) | (j1 << (k - 2))
     bits = np.empty((n_frames, n_steps), dtype=np.uint8)
-    state = np.zeros(n_frames, dtype=np.intp)
-    rows = np.arange(n_frames)
-    for t in range(n_steps - 1, -1, -1):
-        bits[:, t] = state & 1
-        state = pred[state, back[rows, t, state]]
+    if odd:
+        bits[:, 0] = (flat // n_frames) & 1
+    bits[:, odd::2] = (((ends >> 1) | (via << (k - 2))) & 1).T
+    bits[:, odd + 1 :: 2] = (ends & 1).T
     data = bits[:, : n_steps - (k - 1)]
     return data[0] if single else data

@@ -45,8 +45,16 @@ class ChannelRealization:
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0, 1) samples: real and imaginary parts each with variance 1/2."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+    """CN(0, 1) samples: real and imaginary parts each with variance 1/2.
+
+    One draw of ``(2,) + shape`` consumes the stream exactly as a draw of
+    the real parts followed by a draw of the imaginary parts.
+    """
+    out = np.empty(shape, dtype=complex)
+    parts = rng.standard_normal((2,) + out.shape)
+    np.multiply(parts[0], np.sqrt(0.5), out=out.real)
+    np.multiply(parts[1], np.sqrt(0.5), out=out.imag)
+    return out
 
 
 def draw_channel(
@@ -88,7 +96,18 @@ def apply_channel(
             f"with coherence {ch.coherence}"
         )
     xb = x.reshape(n_tx, n_blocks, ch.coherence, n_sc)
-    y = np.einsum("bnji,ibcn->jbcn", ch.h, xb).reshape(ch.n_rx, n_slots, n_sc)
+    y = np.empty((ch.n_rx,) + xb.shape[1:], dtype=complex)
+    term = np.empty_like(y[0]) if n_tx > 1 else None
+    for j in range(ch.n_rx):
+        # gains into antenna j, (n_blocks, 1, n_sc), broadcast over the
+        # slots of a coherence interval
+        h = ch.h[:, None, :, j, :]
+        np.multiply(h[..., 0], xb[0], out=y[j])
+        for i in range(1, n_tx):
+            y[j] += np.multiply(h[..., i], xb[i], out=term)
+    y = y.reshape(ch.n_rx, n_slots, n_sc)
     if noise.sigma2 > 0.0:
-        y = y + complex_normal(rng, y.shape) * np.sqrt(noise.sigma2)
+        noise_draw = complex_normal(rng, y.shape)
+        noise_draw *= np.sqrt(noise.sigma2)
+        y += noise_draw
     return y

@@ -11,6 +11,7 @@ written in octal ('7,5'); chip sequences as comma-separated bits.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from . import modem
@@ -80,6 +81,9 @@ def validate(cfg: SimConfig) -> SimConfig:
         b <= a for a, b in zip(cfg.snr_grid_db, cfg.snr_grid_db[1:])
     ):
         raise ConfigError("snr_grid_db must be non-empty and strictly increasing")
+    if any(math.isnan(snr) or snr == -math.inf for snr in cfg.snr_grid_db):
+        # +inf stays valid: it switches the noise off
+        raise ConfigError("snr_grid_db values must be numbers or +inf, not NaN or -inf")
     if cfg.n_subcarriers < 1 or not 0 <= cfg.cp_len <= cfg.n_subcarriers:
         raise ConfigError("invalid subcarrier/CP sizes")
     if cfg.detector not in ("zf", "realzf"):

@@ -20,7 +20,6 @@ independent of worker count and scheduling.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -41,7 +40,8 @@ GRAM_FLOOR = 1e-12
 
 def _chunk_seed(seed: int, modulation: str, snr_db: float, chunk: int) -> np.random.SeedSequence:
     name_word = int.from_bytes(modulation.encode("ascii"), "big")
-    snr_word = int(np.float64(snr_db).view(np.uint64))
+    # + 0.0 maps -0.0 to 0.0, so both name the same grid point and stream
+    snr_word = int(np.float64(snr_db + 0.0).view(np.uint64))
     return np.random.SeedSequence([seed, name_word, snr_word, chunk])
 
 
@@ -57,7 +57,10 @@ def _redraw_weak_blocks(ch: ChannelRealization, rng: np.random.Generator) -> int
     """Replace blocks with numerically zero energy; returns the redraw count."""
     total = 0
     while True:
-        g = np.sum(np.abs(ch.h) ** 2, axis=(-2, -1))
+        # per-block sum of re^2 + im^2, as one dot product over the float view
+        parts = np.ascontiguousarray(ch.h).view(np.float64)
+        parts = parts.reshape(parts.shape[:-2] + (-1,))
+        g = np.vecdot(parts, parts)
         bad = ~(g > GRAM_FLOOR)
         n_bad = int(np.count_nonzero(bad))
         if n_bad == 0:
@@ -213,10 +216,3 @@ def emit_results(records, gains, cfg: SimConfig, out_dir, wall_time_s: float) ->
     )
     return paths
 
-
-def run_sweep_and_emit(cfg: SimConfig, out_dir) -> tuple[list[BerRecord], list[GainRecord], dict]:
-    start = time.perf_counter()
-    records = sweep(cfg)
-    gains = compute_gains(records, cfg)
-    paths = emit_results(records, gains, cfg, out_dir, time.perf_counter() - start)
-    return records, gains, paths

@@ -99,14 +99,9 @@ def build_effective(h: np.ndarray, y: np.ndarray) -> EffectiveChannel:
     return EffectiveChannel(alamouti_effective(h), stack_received(y))
 
 
-def _gram(h: np.ndarray) -> np.ndarray:
-    return np.einsum("...ji,...jk->...ik", np.conj(h), h)
-
-
-def _gram_condition(gram: np.ndarray) -> np.ndarray:
+def _gram_condition(g00: np.ndarray, g11: np.ndarray, det: np.ndarray) -> np.ndarray:
     """Condition number of H from its 2x2 Gram eigenvalues, in closed form."""
-    tr = gram[..., 0, 0].real + gram[..., 1, 1].real
-    det = (gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] * gram[..., 1, 0]).real
+    tr = g00 + g11
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
     lo = (tr - disc) / 2.0
     hi = (tr + disc) / 2.0
@@ -124,21 +119,33 @@ def zf_weights(h_eff: np.ndarray, cond_cap: float = COND_CAP_DEFAULT) -> np.ndar
     h_eff = np.asarray(h_eff, dtype=complex)
     if h_eff.shape[-1] != 2:
         raise ValueError("weights are defined for 2 transmit streams")
-    gram = _gram(h_eff)
-    cond = _gram_condition(gram)
+    # contiguous column copies keep every ufunc below on long inner loops
+    h0 = h_eff[..., 0].copy()
+    h1 = h_eff[..., 1].copy()
+    # Gram entries; g00 and g11 are real and g10 = conj(g01)
+    g00 = np.vecdot(h0, h0).real
+    g11 = np.vecdot(h1, h1).real
+    g01 = np.vecdot(h0, h1)
+    det = g00 * g11 - (g01.real * g01.real + g01.imag * g01.imag)
+    cond = _gram_condition(g00, g11, det)
     if np.any(cond > cond_cap):
         n_bad = int(np.count_nonzero(cond > cond_cap))
         raise SingularChannelError(
             f"{n_bad} channel block(s) exceed condition cap {cond_cap:g}"
         )
-    det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] * gram[..., 1, 0]
-    inv = np.empty_like(gram)
-    inv[..., 0, 0] = gram[..., 1, 1]
-    inv[..., 1, 1] = gram[..., 0, 0]
-    inv[..., 0, 1] = -gram[..., 0, 1]
-    inv[..., 1, 0] = -gram[..., 1, 0]
-    inv = inv / det[..., None, None]
-    return np.einsum("...ik,...jk->...ij", inv, np.conj(h_eff))
+    # (H^H H)^-1 = [[g11, -g01], [-g10, g00]] / det; row i of W is
+    # conj(sum_k conj(inv[i, k]) h_k), and conj(inv[0, 1]) = inv[1, 0].
+    # The column copies are scaled in place once they are no longer needed.
+    a01 = (-g01 / det)[..., None]
+    w = np.empty((2,) + h0.shape, dtype=complex)
+    np.multiply(h0, (g11 / det)[..., None], out=w[0])
+    np.multiply(h1, (g00 / det)[..., None], out=w[1])
+    h0 *= a01
+    h1 *= np.conj(a01)
+    w[0] += h1
+    w[1] += h0
+    np.conjugate(w, out=w)
+    return np.moveaxis(w, 0, -2)
 
 
 def zf_detect(

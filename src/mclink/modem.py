@@ -148,20 +148,38 @@ def map_bits(data: np.ndarray, c: Constellation) -> np.ndarray:
     return c.points[labels]
 
 
-def demap_symbols(symbols: np.ndarray, c: Constellation, chunk: int = 1 << 15) -> np.ndarray:
-    """Hard decisions: nearest point in Euclidean distance, MSB-first bits."""
+#: Distances computed per demap chunk: two work arrays of this many float64
+#: values (256 KiB each) stay inside a per-core L2 cache.
+_DEMAP_CHUNK_VALUES = 1 << 15
+
+
+def demap_symbols(symbols: np.ndarray, c: Constellation, chunk: int | None = None) -> np.ndarray:
+    """Hard decisions: nearest point in Euclidean distance, MSB-first bits.
+
+    Distances are taken ``chunk`` symbols at a time into reused work arrays
+    of ``chunk x order`` values; by default ``chunk`` keeps them at
+    ``_DEMAP_CHUNK_VALUES`` (512 symbols for 64-QAM, 8192 for QPSK).
+    """
+    chunk = chunk or max(1, _DEMAP_CHUNK_VALUES // c.order)
     flat = np.asarray(symbols).reshape(-1) * c.scale
     labels = np.empty(flat.size, dtype=np.intp)
+    work_re = np.empty((min(chunk, flat.size), c.order))
+    work_im = np.empty_like(work_re)
     for start in range(0, flat.size, chunk):
         z = flat[start : start + chunk]
-        dr = z.real[:, None] - c.grid.real[None, :]
-        di = z.imag[:, None] - c.grid.imag[None, :]
-        labels[start : start + z.size] = np.argmin(dr * dr + di * di, axis=1)
+        d = work_re[: z.size]
+        e = work_im[: z.size]
+        np.subtract(z.real[:, None], c.grid.real, out=d)
+        np.subtract(z.imag[:, None], c.grid.imag, out=e)
+        np.multiply(d, d, out=d)
+        np.multiply(e, e, out=e)
+        d += e
+        np.argmin(d, axis=1, out=labels[start : start + z.size])
     b = c.bits_per_symbol
-    shifts = np.arange(b - 1, -1, -1)
-    bits = (labels[:, None] >> shifts) & 1
+    shifts = np.arange(b - 1, -1, -1, dtype=np.uint8)
+    bits = (labels.astype(np.uint8)[:, None] >> shifts) & 1
     shape = np.shape(symbols)
-    return bits.astype(np.uint8).reshape(shape[:-1] + (-1,) if shape else (b,))
+    return bits.reshape(shape[:-1] + (-1,) if shape else (b,))
 
 
 def write_point_table(path) -> None:

@@ -61,6 +61,56 @@ def all_codewords(n_data: int, code: ConvCode) -> np.ndarray:
     return words
 
 
+def lfsr_bitserial(taps: int, state: int, n: int) -> tuple[np.ndarray, int]:
+    """One register shift per output bit; returns the bits and the final state."""
+    degree = taps.bit_length() - 1
+    mask = taps & ((1 << degree) - 1)
+    out = np.empty(n, dtype=np.uint8)
+    for i in range(n):
+        out[i] = state & 1
+        fb = (state & mask).bit_count() & 1
+        state = (state >> 1) | (fb << (degree - 1))
+    return out, state
+
+
+def viterbi_radix2(coded: np.ndarray, code: ConvCode) -> np.ndarray:
+    """One trellis step per iteration with a gathered add-compare-select."""
+    rx = np.atleast_2d(np.asarray(coded, dtype=np.uint8))
+    k = code.constraint_length
+    n_states = code.n_states
+    n_steps = rx.shape[-1] // 2
+    pred = np.empty((n_states, 2), dtype=np.intp)
+    out0 = np.empty((n_states, 2), dtype=np.uint8)
+    out1 = np.empty((n_states, 2), dtype=np.uint8)
+    g0, g1 = code.generators
+    for s_next in range(n_states):
+        for j in range(2):
+            s_prev = (s_next >> 1) | (j << (k - 2))
+            w = (s_prev << 1) | (s_next & 1)
+            pred[s_next, j] = s_prev
+            out0[s_next, j] = (w & g0).bit_count() & 1
+            out1[s_next, j] = (w & g1).bit_count() & 1
+    metric = np.full((rx.shape[0], n_states), 1 << 24, dtype=np.int32)
+    metric[:, 0] = 0
+    back = np.empty((rx.shape[0], n_steps, n_states), dtype=np.uint8)
+    r0 = rx[:, 0::2].astype(np.int32)
+    r1 = rx[:, 1::2].astype(np.int32)
+    for t in range(n_steps):
+        bm = (out0[None] ^ r0[:, t, None, None]) + (out1[None] ^ r1[:, t, None, None])
+        cand = metric[:, pred] + bm
+        take1 = cand[:, :, 1] < cand[:, :, 0]
+        metric = np.where(take1, cand[:, :, 1], cand[:, :, 0])
+        back[:, t, :] = take1
+    bits = np.empty((rx.shape[0], n_steps), dtype=np.uint8)
+    state = np.zeros(rx.shape[0], dtype=np.intp)
+    rows = np.arange(rx.shape[0])
+    for t in range(n_steps - 1, -1, -1):
+        bits[:, t] = state & 1
+        state = pred[state, back[rows, t, state]]
+    data = bits[:, : n_steps - (k - 1)]
+    return data[0] if np.ndim(coded) == 1 else data
+
+
 class TestPrbs:
     def test_full_period_matches_hand_iteration(self):
         seq = Prbs(TAPS_X3, 0b111).generate(7)
@@ -88,6 +138,24 @@ class TestPrbs:
     def test_zero_seed_rejected(self):
         with pytest.raises(ValueError):
             Prbs(TAPS_X3, 0)
+
+    @pytest.mark.parametrize("taps", [
+        TAPS_X3,
+        0o31,                               # x^4 + x^3 + 1: one bit per word
+        (1 << 7) | (1 << 1) | 1,            # 6-bit words
+        (1 << 23) | (1 << 18) | 1,          # the PRBS-23 message source
+        (1 << 31) | (1 << 28) | 1,
+        (1 << 90) | 1,                      # word width capped at 64 bits
+    ])
+    def test_matches_bitserial_register_across_split_calls(self, taps):
+        lengths = [0, 1, 4, 5, 37, 64, 65, 1000, 3]   # ends land mid-word
+        state = 0b101
+        prbs = Prbs(taps, state)
+        parts = [prbs.generate(n) for n in lengths]
+        expected, final = lfsr_bitserial(taps, state, sum(lengths))
+        assert all(p.dtype == np.uint8 for p in parts)
+        assert np.array_equal(np.concatenate(parts), expected)
+        assert prbs.state == final
 
     @pytest.mark.parametrize("taps", [TAPS_X3, 0o31])  # x^4 + x^3 + 1
     def test_windows_enumerate_nonzero_values(self, taps):
@@ -245,6 +313,36 @@ class TestViterbi:
             decoded = viterbi_decode(rx, CONV)
             value = int("".join(map(str, decoded.tolist())), 2) if n_data else 0
             assert value == best
+
+    @pytest.mark.parametrize("code", [
+        ConvCode(2, (0o3, 0o1)),
+        ConvCode(3, (0o7, 0o5)),
+        ConvCode(3, (0o5, 0o7)),
+        ConvCode(4, (0o17, 0o13)),
+        ConvCode(5, (0o23, 0o35)),
+    ], ids=lambda c: f"K{c.constraint_length}-{c.generators[0]:o}{c.generators[1]:o}")
+    def test_matches_radix2_reference(self, code):
+        """Random and p=0.5 (tie-heavy) inputs, odd and even step counts,
+        single frames and batches."""
+        rng = np.random.default_rng(code.constraint_length)
+        k = code.constraint_length
+        for n_steps in list(range(k - 1, k + 8)) + [64, 101]:
+            for flip in (0.5, 0.08):
+                for n_frames in (1, 5):
+                    data = rng.integers(0, 2, (n_frames, n_steps - (k - 1)), dtype=np.uint8)
+                    coded = conv_encode(data, code)
+                    noisy = coded ^ (rng.random(coded.shape) < flip).astype(np.uint8)
+                    out = viterbi_decode(noisy, code)
+                    assert np.array_equal(out, viterbi_radix2(noisy, code)), (n_steps, flip)
+                    single = viterbi_decode(noisy[0], code)
+                    assert single.shape == (n_steps - (k - 1),)
+                    assert np.array_equal(single, viterbi_radix2(noisy[0], code))
+
+    def test_generators_given_as_list(self):
+        code = ConvCode(3, [0o7, 0o5])
+        assert code == CONV
+        data = np.array([1, 0, 1, 1], np.uint8)
+        assert viterbi_decode(conv_encode(data, code), code).tolist() == data.tolist()
 
     def test_batch_equals_rowwise(self):
         rng = np.random.default_rng(9)

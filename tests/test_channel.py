@@ -8,8 +8,22 @@ from mclink.channel import (
     ChannelRealization,
     NoiseConfig,
     apply_channel,
+    complex_normal,
     draw_channel,
 )
+
+
+def complex_normal_two_draws(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+
+
+def apply_channel_einsum(x, ch, noise, rng):
+    n_tx, n_slots, n_sc = x.shape
+    xb = x.reshape(n_tx, ch.h.shape[0], ch.coherence, n_sc)
+    y = np.einsum("bnji,ibcn->jbcn", ch.h, xb).reshape(ch.n_rx, n_slots, n_sc)
+    if noise.sigma2 > 0.0:
+        y = y + complex_normal_two_draws(rng, y.shape) * np.sqrt(noise.sigma2)
+    return y
 
 
 def test_noise_config_formula():
@@ -124,3 +138,27 @@ def test_shape_mismatch_rejected():
         apply_channel(np.zeros((2, 5, 8), dtype=complex), ch, NoiseConfig(0.0), rng)
     with pytest.raises(ValueError):
         apply_channel(np.zeros((2, 4, 9), dtype=complex), ch, NoiseConfig(0.0), rng)
+
+
+@pytest.mark.parametrize("shape", [(), 5, (3,), (4, 0), (2, 3, 4, 2)])
+def test_complex_normal_equals_two_draw_formula(shape):
+    a_rng = np.random.default_rng(21)
+    b_rng = np.random.default_rng(21)
+    a = complex_normal(a_rng, shape)
+    b = complex_normal_two_draws(b_rng, shape)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b)
+    assert a_rng.standard_normal() == b_rng.standard_normal()  # same stream position
+
+
+@pytest.mark.parametrize("n_tx,coherence", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("snr_db", [math.inf, 3.0])
+def test_apply_channel_matches_einsum_reference(n_tx, coherence, snr_db):
+    rng = np.random.default_rng(22)
+    n_blocks, n_sc = 5, 12
+    ch = ChannelRealization(complex_normal(rng, (n_blocks, n_sc, 3, n_tx)), coherence)
+    x = complex_normal(rng, (n_tx, n_blocks * coherence, n_sc))
+    y = apply_channel(x, ch, NoiseConfig(snr_db), np.random.default_rng(23))
+    ref = apply_channel_einsum(x, ch, NoiseConfig(snr_db), np.random.default_rng(23))
+    assert y.shape == ref.shape == (3, n_blocks * coherence, n_sc)
+    assert np.max(np.abs(y - ref)) <= 1e-12

@@ -137,16 +137,21 @@ def test_committed_example_config_loads():
 
 
 def test_comparison_script_runs(tmp_path):
+    import os
     import subprocess
     import sys
     from pathlib import Path
 
-    script = Path(__file__).parent.parent / "scripts" / "modulation_comparison.py"
+    root = Path(__file__).parent.parent
+    script = root / "scripts" / "modulation_comparison.py"
     out = tmp_path / "cmp"
+    # the script imports the package of this checkout, as the tests do
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(script), "--bits", "10000", "--workers", "2",
          "--out", str(out)],
         capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     assert "Gain w.r.t. 64qam" in proc.stdout

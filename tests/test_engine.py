@@ -59,6 +59,21 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 validate(SimConfig(**bad))
 
+    def test_snr_grid_rejects_nan_and_minus_inf_keeps_plus_inf(self):
+        for grid in ((math.nan,), (-5.0, math.nan), (-math.inf, 0.0)):
+            with pytest.raises(ConfigError):
+                validate(SimConfig(snr_grid_db=grid))
+        assert validate(SimConfig(snr_grid_db=(0.0, math.inf))).snr_grid_db == (0.0, math.inf)
+
+    def test_cli_exit_code_for_non_number_snr(self, tmp_path, capsys):
+        from mclink.cli import main
+
+        for snr in ("nan", "-inf", "0,nan"):
+            assert main(["sweep", "--profile", "fast", f"--snr={snr}",
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_modulation_names_canonicalized(self):
         cfg = validate(SimConfig(modulations=("QPSK", "64-QAM")))
         assert cfg.modulations == ("qpsk", "64qam")
@@ -120,6 +135,17 @@ class TestRunChain:
         rec = run_chain(table1_profile(min_bits=10_000, max_bits=10_000), "qpsk", -5.0)
         assert rec.bits >= 10_000
         assert 0 < rec.ber < 0.05
+
+
+class TestChunkSeed:
+    def test_negative_zero_snr_draws_the_zero_stream(self):
+        from mclink.engine import _chunk_seed
+
+        a = _chunk_seed(7, "qpsk", -0.0, 3)
+        b = _chunk_seed(7, "qpsk", 0.0, 3)
+        assert a.entropy == b.entropy
+        assert np.array_equal(a.generate_state(4), b.generate_state(4))
+        assert run_chain(tiny_cfg(), "qpsk", -0.0) == run_chain(tiny_cfg(), "qpsk", 0.0)
 
 
 class TestSweep:

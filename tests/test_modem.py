@@ -46,6 +46,19 @@ def test_demap_inverts_map_on_all_labels(c):
     assert np.array_equal(modem.demap_symbols(symbols, c), bits)
 
 
+@pytest.mark.parametrize("c", ALL, ids=lambda c: c.name)
+def test_demap_unchanged_across_chunk_sizes(c):
+    rng = np.random.default_rng(c.order)
+    noisy = rng.standard_normal((7, 611)) + 1j * rng.standard_normal((7, 611))
+    # exact midpoints between neighbouring points exercise the tie rule
+    mids = ((c.points[:, None] + c.points[None, :]) / 2).reshape(1, -1)
+    for symbols in (noisy, mids):
+        whole = modem.demap_symbols(symbols, c, chunk=symbols.size)
+        for chunk in (1, 3, 64, 2048, 1 << 15):
+            assert np.array_equal(modem.demap_symbols(symbols, c, chunk=chunk), whole)
+        assert np.array_equal(modem.demap_symbols(symbols, c), whole)
+
+
 def test_qpsk_reference_point():
     c = modem.CONSTELLATIONS["qpsk"]
     sym = modem.map_bits(np.array([0, 0], np.uint8), c)
