@@ -1,9 +1,16 @@
-"""Byte gate on sweep output: ber.csv and gains.csv for a fixed (config, seed).
+"""Byte gate on sweep output: ber.csv and gains.csv for fixed (config, seed).
 
-The golden files under tests/data/golden were written by the code before its
-hot-path kernels were reworked; a kernel change that moves one error count
-or one printed digit fails here.  A change that alters RNG
-consumption on purpose regenerates them with
+Two goldens live under tests/data:
+
+* ``golden``: a fast-profile zf sweep (qpsk/16qam/64qam x -5/0/5 dB), written
+  by the code before its hot-path kernels were reworked;
+* ``golden_realzf``: the paths the first one misses -- the ``realzf``
+  detector, split transmit power, two receive antennas and a 2560-subcarrier
+  frame, wider than one detection tile -- written by the code before the
+  receive path was tiled.
+
+A kernel change that moves one error count or one printed digit fails here.
+A change that alters RNG consumption on purpose regenerates both with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,7 +22,7 @@ import pytest
 
 from mclink import compute_gains, emit_results, fast_profile, sweep
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+DATA = Path(__file__).resolve().parent / "data"
 FILES = ("ber.csv", "gains.csv")
 
 
@@ -30,24 +37,60 @@ def golden_config():
     )
 
 
-def write_sweep(out_dir: Path) -> None:
-    cfg = golden_config()
+def realzf_golden_config():
+    return fast_profile(
+        modulations=("qpsk", "16qam", "64qam"),
+        snr_grid_db=(0.0, 5.0),
+        n_subcarriers=2560,
+        cp_len=64,
+        detector="realzf",
+        split_tx_power=True,
+        n_rx=2,
+        min_bits=25_000,
+        max_bits=25_000,
+        gain_reference="qpsk",
+        gain_at_snr_db=0.0,
+        seed=977,
+        workers=1,
+    )
+
+
+GOLDENS = {"golden": golden_config, "golden_realzf": realzf_golden_config}
+
+
+def write_sweep(cfg, out_dir: Path) -> None:
     records = sweep(cfg)
     emit_results(records, compute_gains(records, cfg), cfg, out_dir, 0.0)
 
 
+def _fresh(tmp_path_factory, name):
+    out = tmp_path_factory.mktemp(name)
+    write_sweep(GOLDENS[name](), out)
+    return out
+
+
 @pytest.fixture(scope="module")
 def fresh(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden")
-    write_sweep(out)
-    return out
+    return _fresh(tmp_path_factory, "golden")
+
+
+@pytest.fixture(scope="module")
+def fresh_realzf(tmp_path_factory):
+    return _fresh(tmp_path_factory, "golden_realzf")
 
 
 @pytest.mark.parametrize("name", FILES)
 def test_sweep_bytes_match_golden(fresh, name):
-    assert (fresh / name).read_bytes() == (GOLDEN / name).read_bytes()
+    assert (fresh / name).read_bytes() == (DATA / "golden" / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_realzf_wide_frame_bytes_match_golden(fresh_realzf, name):
+    assert (fresh_realzf / name).read_bytes() == (DATA / "golden_realzf" / name).read_bytes()
 
 
 if __name__ == "__main__":
-    write_sweep(GOLDEN)
-    (GOLDEN / "manifest.json").unlink()
+    for name, make_config in GOLDENS.items():
+        out = DATA / name
+        write_sweep(make_config(), out)
+        (out / "manifest.json").unlink()
