@@ -44,16 +44,38 @@ class ChannelRealization:
         return self.h.shape[-1]
 
 
+#: float64 normals per draw; real and imaginary parts are drawn tile by tile
+#: into one reused buffer this size (256 KiB), so no full-size draw exists.
+_NORMAL_TILE_VALUES = 1 << 15
+
+
+def _normal_tiles(rng: np.random.Generator, out: np.ndarray):
+    """Yield (destination, draw) tiles covering ``out.real`` and then
+    ``out.imag`` of a C-contiguous complex ``out`` in C order, each draw
+    freshly filled with N(0, 1) values.
+
+    The draws consume the stream exactly as one draw of ``(2,) + out.shape``
+    would: all real parts first, then all imaginary parts.  The draw buffer
+    is reused, so a consumer must be done with one tile before the next.
+    """
+    flat = out.reshape(-1)
+    buf = np.empty(min(_NORMAL_TILE_VALUES, flat.size))
+    for part in (flat.real, flat.imag):
+        for start in range(0, part.size, _NORMAL_TILE_VALUES):
+            draw = buf[: min(_NORMAL_TILE_VALUES, part.size - start)]
+            rng.standard_normal(out=draw)
+            yield part[start : start + draw.size], draw
+
+
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """CN(0, 1) samples: real and imaginary parts each with variance 1/2.
 
-    One draw of ``(2,) + shape`` consumes the stream exactly as a draw of
-    the real parts followed by a draw of the imaginary parts.
+    Consumes the stream exactly as a draw of the real parts followed by a
+    draw of the imaginary parts.
     """
     out = np.empty(shape, dtype=complex)
-    parts = rng.standard_normal((2,) + out.shape)
-    np.multiply(parts[0], np.sqrt(0.5), out=out.real)
-    np.multiply(parts[1], np.sqrt(0.5), out=out.imag)
+    for dst, draw in _normal_tiles(rng, out):
+        np.multiply(draw, np.sqrt(0.5), out=dst)
     return out
 
 
@@ -107,7 +129,10 @@ def apply_channel(
             y[j] += np.multiply(h[..., i], xb[i], out=term)
     y = y.reshape(ch.n_rx, n_slots, n_sc)
     if noise.sigma2 > 0.0:
-        noise_draw = complex_normal(rng, y.shape)
-        noise_draw *= np.sqrt(noise.sigma2)
-        y += noise_draw
+        # CN(0, sigma2) noise, scaled in the same two steps as
+        # complex_normal(rng, y.shape) * sqrt(sigma2), one tile at a time
+        for dst, draw in _normal_tiles(rng, y):
+            draw *= np.sqrt(0.5)
+            draw *= np.sqrt(noise.sigma2)
+            dst += draw
     return y

@@ -131,23 +131,37 @@ def table1_profile(**overrides) -> SimConfig:
 PROFILES = {"fast": fast_profile, "table1": table1_profile}
 
 
+#: Most grid points an 'a:step:b' SNR range may expand to.
+MAX_SNR_POINTS = 1000
+
+
 def parse_snr_grid(text: str) -> tuple[float, ...]:
-    """Either 'a:step:b' (inclusive of b within half a step) or 'a,b,c'."""
+    """Either 'a:step:b' (inclusive of b within half a step) or 'a,b,c'.
+
+    A range needs a finite start, step and stop and at most
+    ``MAX_SNR_POINTS`` points.  List entries are checked by ``validate``,
+    which keeps +inf (noise off) and rejects NaN and -inf.
+    """
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"SNR range {text!r} must be start:step:stop")
-        start, step, stop = (float(p) for p in parts)
-        if step <= 0:
-            raise ConfigError("SNR step must be positive")
-        grid = []
-        value = start
-        while value <= stop + step / 2:
-            grid.append(round(value, 9))
-            value += step
-        return tuple(grid)
-    return tuple(float(p) for p in text.split(","))
+    try:
+        values = [float(p) for p in text.split(":" if ":" in text else ",")]
+    except ValueError as exc:
+        raise ConfigError(f"cannot read SNR grid {text!r}: {exc}") from None
+    if ":" not in text:
+        return tuple(values)
+    if len(values) != 3:
+        raise ConfigError(f"SNR range {text!r} must be start:step:stop")
+    start, step, stop = values
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"SNR range {text!r} needs a finite start, step and stop")
+    if step <= 0:
+        raise ConfigError("SNR step must be positive")
+    # points start + i * step for i = 0 .. floor(bound), up to stop + step / 2
+    bound = (stop - start) / step + 0.5
+    if not bound < MAX_SNR_POINTS:
+        raise ConfigError(f"SNR range {text!r} has more than {MAX_SNR_POINTS} points")
+    count = math.floor(bound) + 1 if bound >= 0 else 0
+    return tuple(round(start + i * step, 9) for i in range(count))
 
 
 _LIST_FIELDS = {"modulations", "spreading_chips", "conv_generators", "snr_grid_db"}

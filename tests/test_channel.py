@@ -162,3 +162,46 @@ def test_apply_channel_matches_einsum_reference(n_tx, coherence, snr_db):
     ref = apply_channel_einsum(x, ch, NoiseConfig(snr_db), np.random.default_rng(23))
     assert y.shape == ref.shape == (3, n_blocks * coherence, n_sc)
     assert np.max(np.abs(y - ref)) <= 1e-12
+
+
+def apply_channel_full_noise(x, ch, noise, rng):
+    """The untiled noise formula: one full-size CN(0, 1) draw, times
+    sqrt(sigma2), added to the noise-free mix."""
+    y = apply_channel(x, ch, NoiseConfig(math.inf), rng)
+    if noise.sigma2 > 0.0:
+        noise_draw = complex_normal_two_draws(rng, y.shape)
+        noise_draw *= np.sqrt(noise.sigma2)
+        y += noise_draw
+    return y
+
+
+# tiles hold 1 << 15 normals: sizes below, at, between and across them
+@pytest.mark.parametrize("shape", [(3, 20_000), (2, 1 << 15), (1 << 15) + 1, (5, 7, 4, 2)])
+def test_complex_normal_tiles_equal_one_draw(shape):
+    a_rng = np.random.default_rng(31)
+    b_rng = np.random.default_rng(31)
+    assert np.array_equal(complex_normal(a_rng, shape), complex_normal_two_draws(b_rng, shape))
+    assert a_rng.standard_normal() == b_rng.standard_normal()
+
+
+@pytest.mark.parametrize(
+    "n_rx,n_tx,coherence,n_blocks,n_sc",
+    [
+        (1, 1, 1, 9, 7),        # the siso path's shape
+        (1, 1, 1, 300, 256),    # siso, 76800 samples: 2 whole tiles and a part
+        (4, 2, 2, 5, 7),
+        (4, 2, 2, 41, 256),     # 83968 samples, not a multiple of a tile
+        (2, 2, 2, 32, 256),     # 32768 samples, exactly one tile per part
+    ],
+)
+@pytest.mark.parametrize("snr_db", [-5.0, 12.0])
+def test_apply_channel_tiled_noise_equals_full_draw(n_rx, n_tx, coherence, n_blocks, n_sc, snr_db):
+    rng = np.random.default_rng(32)
+    ch = ChannelRealization(complex_normal(rng, (n_blocks, n_sc, n_rx, n_tx)), coherence)
+    x = complex_normal(rng, (n_tx, n_blocks * coherence, n_sc))
+    a_rng = np.random.default_rng(33)
+    b_rng = np.random.default_rng(33)
+    y = apply_channel(x, ch, NoiseConfig(snr_db), a_rng)
+    ref = apply_channel_full_noise(x, ch, NoiseConfig(snr_db), b_rng)
+    assert np.array_equal(y, ref)
+    assert a_rng.standard_normal() == b_rng.standard_normal()  # same stream position

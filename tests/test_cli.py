@@ -156,3 +156,40 @@ def test_comparison_script_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Gain w.r.t. 64qam" in proc.stdout
     assert (out / "ber.csv").exists()
+
+
+@pytest.mark.parametrize("snr", ["0:inf:1", "-inf:1:0", "0:5:inf", "0:1e-300:1", "0:nan:1"])
+def test_unbounded_snr_range_fails_fast(tmp_path, snr):
+    # a separate process with a timeout and a 1 GiB address-space cap, so a
+    # parser that loops forever on a growing list fails this test instead of
+    # hanging the suite or filling the memory
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mclink", "sweep", "--profile", "fast", f"--snr={snr}",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=10, preexec_fn=cap_memory,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 1
+    assert "config error" in proc.stderr
+    assert not out.exists()
+
+
+def test_unreadable_snr_grid_is_a_config_error(tmp_path):
+    for snr in ("a:1:2", "0,x"):
+        with pytest.raises(ConfigError):
+            parse_snr_grid(snr)
+        assert main(["sweep", "--profile", "fast", f"--snr={snr}",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()

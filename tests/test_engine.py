@@ -253,3 +253,55 @@ class TestRedraws:
         assert count == 4  # one per subcarrier of the degenerate block
         assert np.all(np.sum(np.abs(ch.h) ** 2, axis=(-2, -1)) > 0)
         assert np.array_equal(ch.h[0], h[0])  # healthy blocks untouched
+
+
+def detect_alamouti_untiled(cfg, frames, snr_db, rng):
+    """The whole-chunk receive path: one build_effective/zf_detect (or
+    realzf_detect) call over every (pair, subcarrier) block at once."""
+    from mclink.channel import NoiseConfig, apply_channel, draw_channel
+    from mclink.engine import _redraw_weak_blocks
+    from mclink.mimo import build_effective, realzf_detect, stbc_encode, zf_detect
+    from mclink.ofdm import OfdmConfig, ofdm_demodulate, ofdm_modulate
+
+    ofdm_cfg = OfdmConfig(cfg.n_subcarriers, cfg.cp_len)
+    amp = 1.0 / math.sqrt(2.0) if cfg.split_tx_power else 1.0
+    x_freq = ofdm_demodulate(ofdm_modulate(stbc_encode(frames) * amp, ofdm_cfg), ofdm_cfg)
+    n_slots = frames.shape[0]
+    ch = draw_channel(rng, cfg.n_subcarriers, n_blocks=n_slots // 2, n_rx=cfg.n_rx)
+    redraws = _redraw_weak_blocks(ch, rng)
+    y = apply_channel(x_freq, ch, NoiseConfig(snr_db), rng)
+    h_blocks = ch.h * amp
+    y_blocks = y.reshape(cfg.n_rx, n_slots // 2, 2, cfg.n_subcarriers).transpose(1, 3, 0, 2)
+    if cfg.detector == "realzf":
+        out = realzf_detect(h_blocks, y_blocks)
+    else:
+        out = zf_detect(build_effective(h_blocks, y_blocks), cond_cap=cfg.cond_cap)
+    return out.estimates.transpose(0, 2, 1).reshape(n_slots, cfg.n_subcarriers), redraws
+
+
+class TestTiledDetection:
+    # (subcarriers, slot pairs): a tile holds TILE_BLOCKS // n_sc pairs (292,
+    # 8 and, for a frame wider than a tile, 1); no pair count is a multiple
+    FRAMES = [(7, 301), (256, 21), (2500, 3)]
+
+    @pytest.mark.parametrize("n_sc,n_pairs", FRAMES)
+    @pytest.mark.parametrize("detector", ["zf", "realzf"])
+    @pytest.mark.parametrize("n_rx", [1, 4])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_estimates_equal_untiled(self, n_sc, n_pairs, detector, n_rx, split):
+        from mclink.channel import complex_normal
+        from mclink.engine import TILE_BLOCKS, _detect_alamouti
+
+        step = max(1, TILE_BLOCKS // n_sc)
+        assert n_pairs > step and (n_pairs % step or step == 1)
+        cfg = fast_profile(n_subcarriers=n_sc, cp_len=min(16, n_sc), detector=detector,
+                           n_rx=n_rx, split_tx_power=split)
+        frames = complex_normal(np.random.default_rng(n_sc), (2 * n_pairs, n_sc))
+        a_rng = np.random.default_rng(40)
+        b_rng = np.random.default_rng(40)
+        est, redraws = _detect_alamouti(cfg, frames, 3.0, a_rng)
+        ref, ref_redraws = detect_alamouti_untiled(cfg, frames, 3.0, b_rng)
+        assert est.shape == ref.shape == frames.shape
+        assert np.array_equal(est, ref)
+        assert redraws == ref_redraws
+        assert a_rng.standard_normal() == b_rng.standard_normal()
