@@ -90,7 +90,8 @@ def _detect_alamouti(cfg: SimConfig, frames: np.ndarray, snr_db: float,
     """Frames through STBC, OFDM, fading and linear detection; returns the
     per-slot symbol estimates and the weak-channel redraw count."""
     ofdm_cfg = OfdmConfig(cfg.n_subcarriers, cfg.cp_len)
-    amp = 1.0 / math.sqrt(2.0) if cfg.split_tx_power else 1.0
+    # under split_tx_power each antenna sends half the unit symbol energy
+    amp = 1.0 / math.sqrt(2.0)
 
     tx = stbc_encode(frames)
     if cfg.split_tx_power:

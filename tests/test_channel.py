@@ -140,7 +140,10 @@ def test_shape_mismatch_rejected():
         apply_channel(np.zeros((2, 4, 9), dtype=complex), ch, NoiseConfig(0.0), rng)
 
 
-@pytest.mark.parametrize("shape", [(), 5, (3,), (4, 0), (2, 3, 4, 2)])
+# draws run in tiles of 1 << 15 normals: the last three shapes span
+# several tiles, exactly two, and one value more than a tile
+@pytest.mark.parametrize("shape", [(), 5, (3,), (4, 0), (2, 3, 4, 2),
+                                   (3, 20_000), (2, 1 << 15), (1 << 15) + 1])
 def test_complex_normal_equals_two_draw_formula(shape):
     a_rng = np.random.default_rng(21)
     b_rng = np.random.default_rng(21)
@@ -173,15 +176,6 @@ def apply_channel_full_noise(x, ch, noise, rng):
         noise_draw *= np.sqrt(noise.sigma2)
         y += noise_draw
     return y
-
-
-# tiles hold 1 << 15 normals: sizes below, at, between and across them
-@pytest.mark.parametrize("shape", [(3, 20_000), (2, 1 << 15), (1 << 15) + 1, (5, 7, 4, 2)])
-def test_complex_normal_tiles_equal_one_draw(shape):
-    a_rng = np.random.default_rng(31)
-    b_rng = np.random.default_rng(31)
-    assert np.array_equal(complex_normal(a_rng, shape), complex_normal_two_draws(b_rng, shape))
-    assert a_rng.standard_normal() == b_rng.standard_normal()
 
 
 @pytest.mark.parametrize(
