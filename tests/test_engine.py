@@ -280,8 +280,9 @@ def detect_alamouti_untiled(cfg, frames, snr_db, rng):
 
 
 class TestTiledDetection:
-    # (subcarriers, slot pairs): a tile holds TILE_BLOCKS // n_sc pairs (292,
-    # 8 and, for a frame wider than a tile, 1); no pair count is a multiple
+    # (subcarriers, slot pairs): a tile holds 292 and 8 pairs of the first two
+    # frames, neither pair count a multiple of that, and one pair of the
+    # 2500-subcarrier frame, which is wider than a tile
     FRAMES = [(7, 301), (256, 21), (2500, 3)]
 
     @pytest.mark.parametrize("n_sc,n_pairs", FRAMES)
