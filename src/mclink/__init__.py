@@ -3,7 +3,7 @@ CDMA downlink in Rayleigh fading, with zero-forcing detection."""
 
 __version__ = "0.1.0"
 
-from .config import SimConfig, fast_profile, load_config, table1_profile  # noqa: E402
+from .config import SimConfig, fast_profile, load_config  # noqa: E402
 from .engine import compute_gains, emit_results, run_chain, sweep  # noqa: E402
 from .results import BerRecord, GainRecord, gain_vs_reference  # noqa: E402
 
@@ -11,7 +11,6 @@ __all__ = [
     "__version__",
     "SimConfig",
     "fast_profile",
-    "table1_profile",
     "load_config",
     "run_chain",
     "sweep",

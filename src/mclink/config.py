@@ -50,17 +50,12 @@ class SimConfig:
     snr_reference: str = "eb"
     split_tx_power: bool = False
     message_taps: int = MESSAGE_TAPS_DEFAULT
-    cond_cap: float = 1e8
     # Monte Carlo batching: payload bits per FEC frame and frames per chunk;
     # results are deterministic in (config, seed) including these two.
     frame_payload_bits: int = 200
     frames_per_chunk: int = 125
     gain_reference: str = "64qam"
     gain_at_snr_db: float = -5.0
-
-    @property
-    def spreading_factor(self) -> int:
-        return len(self.spreading_chips)
 
     @property
     def chunk_payload_bits(self) -> int:
@@ -71,6 +66,7 @@ def validate(cfg: SimConfig) -> SimConfig:
     """Raise ConfigError on any inconsistent field; returns cfg for chaining."""
     try:
         mods = tuple(modem.get_constellation(m).name for m in cfg.modulations)
+        ref = modem.get_constellation(cfg.gain_reference).name
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
     if not mods:
@@ -104,15 +100,19 @@ def validate(cfg: SimConfig) -> SimConfig:
         raise ConfigError("max_bit_errors and workers must be positive")
     if cfg.frame_payload_bits < 1 or cfg.frames_per_chunk < 1:
         raise ConfigError("chunking sizes must be positive")
+    if cfg.message_taps.bit_length() - 1 > 63:
+        # the engine seeds the register with rng.integers(1, 1 << degree)
+        raise ConfigError("message_taps degree must be at most 63")
     try:
-        from .bits import ConvCode, SpreadingCode
+        from .bits import ConvCode, Prbs, SpreadingCode
 
         SpreadingCode(cfg.spreading_chips)
         ConvCode(cfg.conv_constraint_length, cfg.conv_generators)
+        Prbs(cfg.message_taps, 1)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if mods != cfg.modulations:
-        cfg = dataclasses.replace(cfg, modulations=mods)
+    if (mods, ref) != (cfg.modulations, cfg.gain_reference):
+        cfg = dataclasses.replace(cfg, modulations=mods, gain_reference=ref)
     return cfg
 
 
@@ -123,12 +123,8 @@ def fast_profile(**overrides) -> SimConfig:
     return SimConfig(**base)
 
 
-def table1_profile(**overrides) -> SimConfig:
-    """The full-size system profile; these are also the dataclass defaults."""
-    return SimConfig(**overrides)
-
-
-PROFILES = {"fast": fast_profile, "table1": table1_profile}
+#: Named size presets; ``table1``, the full-size system, is the defaults.
+PROFILES = {"fast": fast_profile, "table1": SimConfig}
 
 
 #: Most grid points an 'a:step:b' SNR range may expand to.

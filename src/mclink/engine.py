@@ -117,7 +117,7 @@ def _detect_alamouti(cfg: SimConfig, frames: np.ndarray, snr_db: float,
         if cfg.detector == "realzf":
             out = realzf_detect(h_tile, y_tile)
         else:
-            out = zf_detect(build_effective(h_tile, y_tile), cond_cap=cfg.cond_cap)
+            out = zf_detect(build_effective(h_tile, y_tile))
         est[p : p + step] = out.estimates.transpose(0, 2, 1)
     return est.reshape(n_slots, n_sc), redraws
 
@@ -205,7 +205,7 @@ def sweep(cfg: SimConfig) -> list[BerRecord]:
 def compute_gains(records: list[BerRecord], cfg: SimConfig) -> list[GainRecord]:
     """Gain of each swept modulation against the configured reference."""
     cfg = validate(cfg)
-    ref = modem.get_constellation(cfg.gain_reference).name
+    ref = cfg.gain_reference
     have = {r.modulation for r in records}
     at = cfg.gain_at_snr_db
     if ref not in have or not any(r.snr_db == at for r in records if r.modulation == ref):

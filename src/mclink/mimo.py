@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import modem
 from .errors import FramingError, SingularChannelError
 
-COND_CAP_DEFAULT = 1e8
+#: Largest channel condition number ``zf_weights`` inverts.  An Alamouti
+#: block with non-zero energy has condition number 1; the engine redraws
+#: zero-energy blocks before detection.
+COND_CAP = 1e8
 
 
 def stbc_encode(frames: np.ndarray) -> np.ndarray:
@@ -62,7 +64,6 @@ class RealDecomposition:
 @dataclass
 class DetectorOutput:
     estimates: np.ndarray       # (..., 2) complex symbol estimates per block
-    bits: np.ndarray | None = None
 
 
 def alamouti_effective(h: np.ndarray) -> np.ndarray:
@@ -110,11 +111,12 @@ def _gram_condition(g00: np.ndarray, g11: np.ndarray, det: np.ndarray) -> np.nda
     return np.where(lo > 0.0, cond, np.inf)
 
 
-def zf_weights(h_eff: np.ndarray, cond_cap: float = COND_CAP_DEFAULT) -> np.ndarray:
+def zf_weights(h_eff: np.ndarray) -> np.ndarray:
     """Left pseudo-inverse W = (H^H H)^-1 H^H for 2-column channels.
 
-    Raises when any block's condition number exceeds the cap; the caller is
-    expected to redraw such channels and account for them in diagnostics.
+    Raises when any block's condition number exceeds ``COND_CAP``; the
+    caller is expected to redraw such channels and account for them in
+    diagnostics.
     """
     h_eff = np.asarray(h_eff, dtype=complex)
     if h_eff.shape[-1] != 2:
@@ -128,10 +130,10 @@ def zf_weights(h_eff: np.ndarray, cond_cap: float = COND_CAP_DEFAULT) -> np.ndar
     g01 = np.vecdot(h0, h1)
     det = g00 * g11 - (g01.real * g01.real + g01.imag * g01.imag)
     cond = _gram_condition(g00, g11, det)
-    if np.any(cond > cond_cap):
-        n_bad = int(np.count_nonzero(cond > cond_cap))
+    if np.any(cond > COND_CAP):
+        n_bad = int(np.count_nonzero(cond > COND_CAP))
         raise SingularChannelError(
-            f"{n_bad} channel block(s) exceed condition cap {cond_cap:g}"
+            f"{n_bad} channel block(s) exceed condition cap {COND_CAP:g}"
         )
     # (H^H H)^-1 = [[g11, -g01], [-g10, g00]] / det; row i of W is
     # conj(sum_k conj(inv[i, k]) h_k), and conj(inv[0, 1]) = inv[1, 0].
@@ -148,16 +150,10 @@ def zf_weights(h_eff: np.ndarray, cond_cap: float = COND_CAP_DEFAULT) -> np.ndar
     return np.moveaxis(w, 0, -2)
 
 
-def zf_detect(
-    eff: EffectiveChannel,
-    constellation: modem.Constellation | None = None,
-    cond_cap: float = COND_CAP_DEFAULT,
-) -> DetectorOutput:
+def zf_detect(eff: EffectiveChannel) -> DetectorOutput:
     """Apply the pseudo-inverse weights to the stacked receive vector."""
-    w = zf_weights(eff.h_eff, cond_cap)
-    est = np.einsum("...ij,...j->...i", w, eff.y_eff)
-    bits = modem.demap_symbols(est, constellation) if constellation else None
-    return DetectorOutput(est, bits)
+    w = zf_weights(eff.h_eff)
+    return DetectorOutput(np.einsum("...ij,...j->...i", w, eff.y_eff))
 
 
 def real_decomposition(h: np.ndarray, y: np.ndarray) -> RealDecomposition:
@@ -188,11 +184,7 @@ def real_decomposition(h: np.ndarray, y: np.ndarray) -> RealDecomposition:
     return RealDecomposition(hh, yh)
 
 
-def realzf_detect(
-    h: np.ndarray,
-    y: np.ndarray,
-    constellation: modem.Constellation | None = None,
-) -> DetectorOutput:
+def realzf_detect(h: np.ndarray, y: np.ndarray) -> DetectorOutput:
     """Solve the real normal equations (H_hat^T H_hat) u = H_hat^T y_hat."""
     dec = real_decomposition(h, y)
     a = np.einsum("...ji,...jk->...ik", dec.h_hat, dec.h_hat)
@@ -201,6 +193,4 @@ def realzf_detect(
         u = np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularChannelError("real-valued channel matrix is singular") from exc
-    est = u[..., 0:2] + 1j * u[..., 2:4]
-    bits = modem.demap_symbols(est, constellation) if constellation else None
-    return DetectorOutput(est, bits)
+    return DetectorOutput(u[..., 0:2] + 1j * u[..., 2:4])

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,9 @@ def test_config_file_errors(tmp_path):
         load_config(bad)
     bad.write_text("unknown_field = 3\n")
     with pytest.raises(ConfigError):
+        load_config(bad)
+    bad.write_text("cond_cap = 1e8\n")  # a field that was removed
+    with pytest.raises(ConfigError, match="unknown key 'cond_cap'"):
         load_config(bad)
     bad.write_text("min_bits = lots\n")
     with pytest.raises(ConfigError):
@@ -125,37 +129,48 @@ def test_default_profile_is_full_size(tmp_path):
     assert SimConfig().n_subcarriers == 6400
 
 
-def test_committed_example_config_loads():
-    from pathlib import Path
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-    path = Path(__file__).parent.parent / "configs" / "example.cfg"
-    cfg = load_config(path)
-    assert cfg.n_subcarriers == 256
-    assert cfg.conv_generators == (0o7, 0o5)
-    assert cfg.snr_reference == "eb"
-    assert cfg.split_tx_power is False
+#: What each committed config loads to.  table1 and comparison are the
+#: configurations that the former run_table1.py and modulation_comparison.py
+#: scripts built by default.
+COMMITTED = {
+    "example.cfg": SimConfig(n_subcarriers=256, cp_len=64, workers=4),
+    "table1.cfg": SimConfig(min_bits=100_000, max_bits=200_000, seed=412, workers=4),
+    "comparison.cfg": SimConfig(
+        n_subcarriers=256, cp_len=64, snr_grid_db=(-10.0, -5.0, 0.0, 5.0),
+        min_bits=100_000, max_bits=200_000, gain_at_snr_db=-5.0, seed=411, workers=4,
+    ),
+}
 
 
-def test_comparison_script_runs(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
+@pytest.mark.parametrize("name", sorted({p.name for p in CONFIGS.glob("*.cfg")} | set(COMMITTED)))
+def test_committed_example_config_loads(name):
+    assert load_config(CONFIGS / name) == COMMITTED[name]
 
-    root = Path(__file__).parent.parent
-    script = root / "scripts" / "modulation_comparison.py"
+
+def test_comparison_recipe_runs(tmp_path, capsys):
     out = tmp_path / "cmp"
-    # the script imports the package of this checkout, as the tests do
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(script), "--bits", "10000", "--workers", "2",
-         "--out", str(out)],
-        capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "Gain w.r.t. 64qam" in proc.stdout
-    assert (out / "ber.csv").exists()
+    code = main(["sweep", "--config", str(CONFIGS / "comparison.cfg"),
+                 "--mod", "16qam,64qam", "--workers", "2", "--out", str(out)])
+    assert code == 0
+    gain_lines = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("gain ")]
+    assert len(gain_lines) == 2
+    assert all("vs 64qam @ -5.0 dB" in line for line in gain_lines)
+    for name in ("ber.csv", "gains.csv", "manifest.json"):
+        assert (out / name).exists()
+
+
+def test_unknown_gain_reference_fails_before_the_sweep(tmp_path, capsys):
+    cfg_path = tmp_path / "sim.cfg"
+    write_tiny_config(cfg_path)
+    with open(cfg_path, "a") as f:
+        f.write("gain_reference = 128qam\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("snr", ["0:inf:1", "-inf:1:0", "0:5:inf", "0:1e-300:1", "0:nan:1"])

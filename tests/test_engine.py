@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from mclink import SimConfig, fast_profile, run_chain, sweep, table1_profile
-from mclink.config import validate
+from mclink import SimConfig, fast_profile, run_chain, sweep
+from mclink.config import PROFILES, validate
 from mclink.engine import compute_gains, effective_es_n0_db, emit_results
 from mclink.errors import ConfigError
 from mclink import modem
@@ -29,11 +29,11 @@ class TestConfig:
         assert cfg.cp_len == 1280
         assert cfg.snr_grid_db == (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
         assert cfg.modulations == ("qpsk", "8psk", "8qam", "16qam", "32qam", "64qam")
-        assert cfg.spreading_factor == 8
+        assert len(cfg.spreading_chips) == 8
         assert cfg.conv_constraint_length == 3
         assert cfg.conv_generators == (0o7, 0o5)
         assert cfg.n_rx == 4
-        assert table1_profile() == cfg
+        assert PROFILES["table1"]() == cfg
 
     def test_fast_profile_changes_frame_only(self):
         cfg = fast_profile()
@@ -55,6 +55,13 @@ class TestConfig:
             dict(seed=-1),
             dict(spreading_chips=(1, 1, 1, 1, 1, 1, 1, 1)),
             dict(conv_generators=(0o7, 0o5, 0o3)),
+            dict(gain_reference="128qam"),
+            # message taps the engine cannot seed: degree below 1, no
+            # constant term, a register too wide for rng.integers
+            dict(message_taps=0),
+            dict(message_taps=1),
+            dict(message_taps=0o16),
+            dict(message_taps=(1 << 64) | 3),
         ):
             with pytest.raises(ConfigError):
                 validate(SimConfig(**bad))
@@ -75,8 +82,15 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     def test_modulation_names_canonicalized(self):
-        cfg = validate(SimConfig(modulations=("QPSK", "64-QAM")))
+        cfg = validate(SimConfig(modulations=("QPSK", "64-QAM"), gain_reference="64-QAM"))
         assert cfg.modulations == ("qpsk", "64qam")
+        assert cfg.gain_reference == "64qam"
+
+    def test_message_taps_up_to_degree_63_accepted(self):
+        from mclink.config import MESSAGE_TAPS_DEFAULT
+
+        for taps in (MESSAGE_TAPS_DEFAULT, (1 << 63) | 3):
+            assert validate(SimConfig(message_taps=taps)).message_taps == taps
 
     def test_effective_snr_reference(self):
         cfg = SimConfig()  # eb reference, fec on
@@ -132,7 +146,7 @@ class TestRunChain:
         assert a.errors == b.errors
 
     def test_full_profile_single_point(self):
-        rec = run_chain(table1_profile(min_bits=10_000, max_bits=10_000), "qpsk", -5.0)
+        rec = run_chain(SimConfig(min_bits=10_000, max_bits=10_000), "qpsk", -5.0)
         assert rec.bits >= 10_000
         assert 0 < rec.ber < 0.05
 
@@ -275,7 +289,7 @@ def detect_alamouti_untiled(cfg, frames, snr_db, rng):
     if cfg.detector == "realzf":
         out = realzf_detect(h_blocks, y_blocks)
     else:
-        out = zf_detect(build_effective(h_blocks, y_blocks), cond_cap=cfg.cond_cap)
+        out = zf_detect(build_effective(h_blocks, y_blocks))
     return out.estimates.transpose(0, 2, 1).reshape(n_slots, cfg.n_subcarriers), redraws
 
 
