@@ -6,13 +6,15 @@ the geometry allows; the two-ring and cross constellations carry best-effort
 labelings (perfect Gray codes do not exist on them).
 
 Decisions are made in an unnormalized "grid" domain where QAM points sit on
-exact odd-integer coordinates.  That keeps nearest-point ties exact in
-floating point, and ties resolve to the numerically smaller label because the
-point table is scanned in label order.
+exact odd-integer coordinates, so nearest-point ties are exact in floating
+point and resolve to the numerically smaller label.  The square schemes
+(QPSK, 16- and 64-QAM) are sliced per Gray PAM axis by sign tests on folded
+coordinates; a strict ``x < 0`` sends each tie to the smaller axis label, and
+with I as the high bits that is the smaller combined label.  The other three
+scan the point table in label order, which breaks ties the same way.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ class Constellation:
     bits_per_symbol: int
     grid: np.ndarray   # unnormalized decision points, indexed by label
     scale: float       # points = grid / scale
+    pam_bits: int      # bits per axis when grid == _grid_product(n, n), else 0
 
     @property
     def order(self) -> int:
@@ -36,11 +39,6 @@ class Constellation:
     @property
     def points(self) -> np.ndarray:
         return self.grid / self.scale
-
-    def min_distance(self) -> float:
-        p = self.points
-        d = np.abs(p[:, None] - p[None, :])
-        return float(d[d > 0].min())
 
 
 def _gray(n: int) -> int:
@@ -108,18 +106,22 @@ def _grid_cross32() -> np.ndarray:
     return grid
 
 
-def _build(name: str, n_bits: int, grid: np.ndarray) -> Constellation:
+def _build(name: str, n_bits: int, grid: np.ndarray, pam_bits: int = 0) -> Constellation:
     scale = float(np.sqrt(np.mean(np.abs(grid) ** 2)))
-    return Constellation(name, n_bits, grid, scale)
+    return Constellation(name, n_bits, grid, scale, pam_bits)
+
+
+def _build_square(name: str, pam_bits: int) -> Constellation:
+    return _build(name, 2 * pam_bits, _grid_product(pam_bits, pam_bits), pam_bits)
 
 
 CONSTELLATIONS: dict[str, Constellation] = {
-    "qpsk": _build("qpsk", 2, _grid_product(1, 1)),
+    "qpsk": _build_square("qpsk", 1),
     "8psk": _build("8psk", 3, _grid_psk(3)),
     "8qam": _build("8qam", 3, _grid_tworing8()),
-    "16qam": _build("16qam", 4, _grid_product(2, 2)),
+    "16qam": _build_square("16qam", 2),
     "32qam": _build("32qam", 5, _grid_cross32()),
-    "64qam": _build("64qam", 6, _grid_product(3, 3)),
+    "64qam": _build_square("64qam", 3),
 }
 
 _ALIASES = {"4qam": "qpsk", "qam4": "qpsk", "psk8": "8psk", "qam8": "8qam",
@@ -148,13 +150,37 @@ def map_bits(data: np.ndarray, c: Constellation) -> np.ndarray:
     return c.points[labels]
 
 
-#: Distances computed per demap chunk: two work arrays of this many float64
-#: values (256 KiB each) stay inside a per-core L2 cache.
+def demap_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
+    """Hard decisions: nearest point in Euclidean distance, MSB-first bits.
+
+    Square schemes are sliced per axis: bit 0 of an n-bit Gray PAM axis is
+    ``x < 0``, and bit k is ``x < 0`` after ``x <- |x| - 2**(n-k)``.  Every
+    fold is exact on the grid, so this is the nearest level.  I fills the
+    first n bits of a symbol and Q the last n.
+    """
+    n = c.pam_bits
+    if not n:
+        return _demap_nearest(symbols, c)
+    shape = np.shape(symbols)
+    flat = np.asarray(symbols).reshape(-1)
+    bits = np.empty((flat.size, 2 * n), dtype=np.uint8)
+    for axis, first in ((flat.real, 0), (flat.imag, n)):
+        x = axis * c.scale
+        np.less(x, 0, out=bits[:, first])
+        for k in range(1, n):
+            np.abs(x, out=x)
+            x -= 1 << (n - k)
+            np.less(x, 0, out=bits[:, first + k])
+    return bits.reshape(shape[:-1] + (-1,) if shape else (2 * n,))
+
+
+#: Distances computed per table-demap chunk: two work arrays of this many
+#: float64 values (256 KiB each) stay inside a per-core L2 cache.
 _DEMAP_CHUNK_VALUES = 1 << 15
 
 
-def demap_symbols(symbols: np.ndarray, c: Constellation, chunk: int | None = None) -> np.ndarray:
-    """Hard decisions: nearest point in Euclidean distance, MSB-first bits.
+def _demap_nearest(symbols: np.ndarray, c: Constellation, chunk: int | None = None) -> np.ndarray:
+    """Table search: the label of the nearest grid point, lowest on a tie.
 
     Distances are taken ``chunk`` symbols at a time into reused work arrays
     of ``chunk x order`` values; by default ``chunk`` keeps them at
@@ -180,38 +206,3 @@ def demap_symbols(symbols: np.ndarray, c: Constellation, chunk: int | None = Non
     bits = (labels.astype(np.uint8)[:, None] >> shifts) & 1
     shape = np.shape(symbols)
     return bits.reshape(shape[:-1] + (-1,) if shape else (b,))
-
-
-def write_point_table(path) -> None:
-    """Dump every scheme's labeled points as CSV with round-trip-exact floats."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["scheme", "label_bits", "real", "imag"])
-        for name in SCHEMES:
-            c = CONSTELLATIONS[name]
-            points = c.points
-            for label in range(c.order):
-                writer.writerow([
-                    name,
-                    format(label, f"0{c.bits_per_symbol}b"),
-                    repr(float(points[label].real)),
-                    repr(float(points[label].imag)),
-                ])
-
-
-def read_point_table(path) -> dict[str, np.ndarray]:
-    """Parse the fixture back into label-indexed point arrays."""
-    tables: dict[str, list] = {}
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            tables.setdefault(row["scheme"], []).append(
-                (int(row["label_bits"], 2), float(row["real"]), float(row["imag"]))
-            )
-    out = {}
-    for name, rows in tables.items():
-        arr = np.empty(len(rows), dtype=complex)
-        for label, re, im in rows:
-            arr[label] = re + 1j * im
-        out[name] = arr
-    return out
