@@ -26,8 +26,8 @@ class Prbs:
 
     def __init__(self, taps: int, state: int):
         degree = taps.bit_length() - 1
-        if degree < 1:
-            raise ValueError(f"tap mask {taps:#o} has no feedback terms")
+        if taps < 0 or degree < 1:
+            raise ValueError(f"tap mask {taps:#o} is not a positive mask with feedback terms")
         if not taps & 1:
             raise ValueError(f"tap mask {taps:#o} must include the constant term")
         if state == 0:
