@@ -1,14 +1,16 @@
-import itertools
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from point_table import COMMITTED, min_distance, read_point_table, write_point_table
 
 from mclink import modem
 from mclink.errors import FramingError
 
 ALL = [modem.CONSTELLATIONS[name] for name in modem.SCHEMES]
+SQUARE = [c for c in ALL if c.pam_bits]
 
 
 def labels_to_bits(label: int, width: int) -> list[int]:
@@ -53,10 +55,76 @@ def test_demap_unchanged_across_chunk_sizes(c):
     # exact midpoints between neighbouring points exercise the tie rule
     mids = ((c.points[:, None] + c.points[None, :]) / 2).reshape(1, -1)
     for symbols in (noisy, mids):
-        whole = modem.demap_symbols(symbols, c, chunk=symbols.size)
+        whole = modem._demap_nearest(symbols, c, chunk=symbols.size)
         for chunk in (1, 3, 64, 2048, 1 << 15):
-            assert np.array_equal(modem.demap_symbols(symbols, c, chunk=chunk), whole)
-        assert np.array_equal(modem.demap_symbols(symbols, c), whole)
+            assert np.array_equal(modem._demap_nearest(symbols, c, chunk=chunk), whole)
+        assert np.array_equal(modem._demap_nearest(symbols, c), whole)
+
+
+@pytest.mark.parametrize("c", ALL, ids=lambda c: c.name)
+def test_pam_bits_match_grid(c):
+    n = c.pam_bits
+    if c.name in ("qpsk", "16qam", "64qam"):
+        assert 2 * n == c.bits_per_symbol
+        assert np.array_equal(c.grid, modem._grid_product(n, n))
+    else:
+        assert n == 0
+
+
+def _grid_domain(c):
+    """The same labels with unit scale, so inputs are exact grid coordinates."""
+    return dataclasses.replace(c, scale=1.0)
+
+
+@pytest.mark.parametrize("c", SQUARE, ids=lambda c: c.name)
+def test_slicer_equals_table_search(c):
+    g = _grid_domain(c)
+    edge = 1 << c.pam_bits
+    rng = np.random.default_rng(c.order + 1)
+    noisy = (rng.standard_normal((5, 300)) + 1j * rng.standard_normal((5, 300))) * edge
+    even = np.arange(-edge, edge + 1, 2.0)
+    both_axes = (even[:, None] + 1j * even[None, :]).reshape(-1)
+    other = rng.uniform(-edge - 1, edge + 1, (even.size, 20))
+    one_axis = np.concatenate([(even[:, None] + 1j * other).reshape(-1),
+                               (other + 1j * even[:, None]).reshape(-1)])
+    cases = [noisy, both_axes, one_axis]
+    for far in (1e3, 1e8):
+        signs = rng.choice([-1.0, 1.0], (2, 200))
+        cases += [far * (signs[0] + 1j * signs[1]) + noisy[0, :200],
+                  far * signs[0] + 1j * noisy[0, :200].imag,
+                  noisy[0, :200].real + 1j * far * signs[1]]
+    for symbols in cases:
+        assert np.array_equal(modem.demap_symbols(symbols, g), modem._demap_nearest(symbols, g))
+    # the unit-energy constellation decides the same way after its own scaling
+    z = noisy / c.scale
+    b = c.bits_per_symbol
+    for shaped, shape in ((z[0, 0], (b,)), (z[0], (300 * b,)), (z, (5, 300 * b))):
+        out = modem.demap_symbols(shaped, c)
+        assert out.shape == shape
+        assert np.array_equal(out, modem._demap_nearest(shaped, c))
+
+
+def test_far_off_axis_estimate_keeps_nearest_level():
+    """From about 3e8 grid units out on one axis, the table's summed squared
+    distances round both Q candidates to one value and the tie goes to the
+    lower label; the slicer still takes the nearest Q level."""
+    g = _grid_domain(modem.CONSTELLATIONS["qpsk"])
+    z = np.array([1e9 - 0.5j])
+    assert modem.demap_symbols(z, g).tolist() == [0, 1]
+    assert modem._demap_nearest(z, g).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("c", SQUARE, ids=lambda c: c.name)
+def test_nan_axis_decides_zero_bits(c):
+    """A NaN coordinate gives its axis label 0; the other axis is still sliced.
+    A NaN on both axes is label 0, as in the table search."""
+    n = c.pam_bits
+    corner = c.points[-1]  # all-ones label on both axes
+    z = np.array([complex(np.nan, np.nan), complex(np.nan, corner.imag),
+                  complex(corner.real, np.nan)])
+    expected = [0] * 2 * n + [0] * n + [1] * n + [1] * n + [0] * n
+    assert modem.demap_symbols(z, c).tolist() == expected
+    assert modem._demap_nearest(z[:1], c).tolist() == expected[: 2 * n]
 
 
 def test_qpsk_reference_point():
@@ -105,7 +173,7 @@ def test_64qam_midpoint_tie_breaks_to_lower_label():
 
 
 def test_min_distance_ordering():
-    d = {name: modem.CONSTELLATIONS[name].min_distance() for name in modem.SCHEMES}
+    d = {name: min_distance(modem.CONSTELLATIONS[name]) for name in modem.SCHEMES}
     assert d["qpsk"] > d["8qam"] > d["8psk"] >= d["16qam"] > d["32qam"] > d["64qam"]
     assert d["8psk"] == pytest.approx(2 * np.sin(np.pi / 8), abs=1e-12)
     assert d["16qam"] == pytest.approx(2 / np.sqrt(10), abs=1e-12)
@@ -125,27 +193,24 @@ def test_name_aliases():
 
 def test_point_table_roundtrip(tmp_path):
     path = tmp_path / "points.csv"
-    modem.write_point_table(path)
-    tables = modem.read_point_table(path)
+    write_point_table(path)
+    tables = read_point_table(path)
     assert set(tables) == set(modem.SCHEMES)
     for name in modem.SCHEMES:
         assert np.array_equal(tables[name], modem.CONSTELLATIONS[name].points)
 
 
 def test_committed_fixture_matches_generated(tmp_path):
-    from pathlib import Path
-
-    committed = Path(modem.__file__).parent / "data" / "constellations.csv"
     regenerated = tmp_path / "points.csv"
-    modem.write_point_table(regenerated)
-    assert committed.read_bytes() == regenerated.read_bytes()
+    write_point_table(regenerated)
+    assert COMMITTED.read_bytes() == regenerated.read_bytes()
 
 
 def test_demap_agrees_with_fixture_nearest_point(tmp_path):
     """Brute-force nearest point from the fixture file as demapper oracle."""
     path = tmp_path / "points.csv"
-    modem.write_point_table(path)
-    tables = modem.read_point_table(path)
+    write_point_table(path)
+    tables = read_point_table(path)
     rng = np.random.default_rng(11)
     symbols = rng.standard_normal(500) + 1j * rng.standard_normal(500)
     for name in modem.SCHEMES:
