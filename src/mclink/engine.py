@@ -20,6 +20,7 @@ independent of worker count and scheduling.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -217,6 +218,17 @@ def compute_gains(records: list[BerRecord], cfg: SimConfig) -> list[GainRecord]:
     ]
 
 
+def _write_replacing(write, path: Path) -> None:
+    """``write`` a temp file beside ``path`` and rename it over ``path``, so
+    a crash leaves the old file or the new one, never part of one."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def emit_results(records, gains, cfg: SimConfig, out_dir, wall_time_s: float) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -225,11 +237,8 @@ def emit_results(records, gains, cfg: SimConfig, out_dir, wall_time_s: float) ->
         "gains": out / "gains.csv",
         "manifest": out / "manifest.json",
     }
-    write_ber_csv(records, paths["ber"])
-    write_gain_csv(gains, paths["gains"])
-    write_manifest(
-        cfg, paths["manifest"], wall_time_s,
-        {"total_redraws": sum(r.redraws for r in records)},
-    )
+    _write_replacing(lambda tmp: write_ber_csv(records, tmp), paths["ber"])
+    _write_replacing(lambda tmp: write_gain_csv(gains, tmp), paths["gains"])
+    diagnostics = {"total_redraws": sum(r.redraws for r in records)}
+    _write_replacing(lambda tmp: write_manifest(cfg, tmp, wall_time_s, diagnostics), paths["manifest"])
     return paths
-

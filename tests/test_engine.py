@@ -56,8 +56,10 @@ class TestConfig:
             dict(spreading_chips=(1, 1, 1, 1, 1, 1, 1, 1)),
             dict(conv_generators=(0o7, 0o5, 0o3)),
             dict(gain_reference="128qam"),
-            # message taps the engine cannot seed: degree below 1, no
-            # constant term, a register too wide for rng.integers
+            # message taps the engine cannot seed: negative, degree below 1,
+            # no constant term, a register too wide for rng.integers
+            dict(message_taps=-5),
+            dict(message_taps=-(1 << 23) - 1),
             dict(message_taps=0),
             dict(message_taps=1),
             dict(message_taps=0o16),
@@ -245,6 +247,30 @@ class TestGains:
         out1 = emit_results(sweep(cfg), [], cfg, tmp_path / "a", 0.0)
         out2 = emit_results(sweep(cfg), [], cfg, tmp_path / "b", 0.0)
         assert out1["ber"].read_bytes() == out2["ber"].read_bytes()
+
+    def test_failed_write_leaves_whole_files_and_no_temp(self, tmp_path, monkeypatch):
+        from mclink import engine
+
+        cfg = tiny_cfg(modulations=("qpsk",), snr_grid_db=(-5.0,))
+        records = sweep(cfg)
+        out = tmp_path / "out"
+        paths = emit_results(records, compute_gains(records, cfg), cfg, out, 0.0)
+        before = {name: p.read_bytes() for name, p in paths.items()}
+
+        def torn_gain_writer(gains, path):
+            with open(path, "w") as f:
+                f.write("modulation,refer")
+            raise OSError("disk full")
+
+        shorter = records[:0]
+        engine.write_ber_csv(shorter, tmp_path / "shorter.csv")
+        monkeypatch.setattr(engine, "write_gain_csv", torn_gain_writer)
+        with pytest.raises(OSError, match="disk full"):
+            emit_results(shorter, [], cfg, out, 0.0)
+        assert sorted(p.name for p in out.iterdir()) == ["ber.csv", "gains.csv", "manifest.json"]
+        assert paths["ber"].read_bytes() in (before["ber"], (tmp_path / "shorter.csv").read_bytes())
+        assert paths["gains"].read_bytes() == before["gains"]
+        assert paths["manifest"].read_bytes() == before["manifest"]
 
     def test_unwritable_path_raises_os_error(self, tmp_path):
         blocker = tmp_path / "file"
