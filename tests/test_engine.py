@@ -262,13 +262,12 @@ class TestGains:
                 f.write("modulation,refer")
             raise OSError("disk full")
 
-        shorter = records[:0]
-        engine.write_ber_csv(shorter, tmp_path / "shorter.csv")
+        engine.write_ber_csv([], tmp_path / "empty.csv")
         monkeypatch.setattr(engine, "write_gain_csv", torn_gain_writer)
         with pytest.raises(OSError, match="disk full"):
-            emit_results(shorter, [], cfg, out, 0.0)
+            emit_results([], [], cfg, out, 0.0)
         assert sorted(p.name for p in out.iterdir()) == ["ber.csv", "gains.csv", "manifest.json"]
-        assert paths["ber"].read_bytes() in (before["ber"], (tmp_path / "shorter.csv").read_bytes())
+        assert paths["ber"].read_bytes() in (before["ber"], (tmp_path / "empty.csv").read_bytes())
         assert paths["gains"].read_bytes() == before["gains"]
         assert paths["manifest"].read_bytes() == before["manifest"]
 
