@@ -113,6 +113,12 @@ def despread(chips: np.ndarray, code: SpreadingCode) -> np.ndarray:
     return (votes > sf // 2).astype(np.uint8)
 
 
+#: Largest constraint length a ``ConvCode`` accepts, the largest in common
+#: use.  The decoder keeps trace-back links for all 2^(K-1) states at every
+#: step, so one default chunk at K = 16 would need over 12 GiB.
+MAX_CONSTRAINT_LENGTH = 9
+
+
 @dataclass(frozen=True)
 class ConvCode:
     """Rate-1/2 feedforward convolutional code with zero-flush termination."""
@@ -126,8 +132,8 @@ class ConvCode:
         if len(self.generators) != 2:
             raise ValueError("rate-1/2 code needs exactly two generators")
         k = self.constraint_length
-        if k < 2:
-            raise ValueError("constraint length must be at least 2")
+        if not 2 <= k <= MAX_CONSTRAINT_LENGTH:
+            raise ValueError(f"constraint length must be 2 to {MAX_CONSTRAINT_LENGTH}")
         for g in self.generators:
             if not 0 < g < (1 << k):
                 raise ValueError(f"generator {g:#o} does not fit in {k} taps")

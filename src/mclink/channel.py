@@ -1,10 +1,10 @@
 """Per-subcarrier Rayleigh block fading and AWGN injection.
 
-Every subcarrier of every space-time block sees an independent n_rx x n_tx
+Every subcarrier of every Alamouti block sees an independent n_rx x 2
 matrix of unit-variance circularly-symmetric complex Gaussian gains, held
-constant over the block's ``coherence`` time slots (quasi-static).  Noise is
-i.i.d. across antennas, slots and subcarriers with variance sigma2 per
-complex sample.
+constant over the block's two time slots (quasi-static).  Noise is i.i.d.
+across antennas, slots and subcarriers with variance sigma2 per complex
+sample.
 """
 from __future__ import annotations
 
@@ -25,23 +25,6 @@ class NoiseConfig:
         if math.isinf(self.snr_db) and self.snr_db > 0:
             return 0.0
         return 10.0 ** (-self.snr_db / 10.0)
-
-
-@dataclass
-class ChannelRealization:
-    """Gains with shape (..., n_subcarriers, n_rx, n_tx); h[..., j, i] links
-    transmit antenna i to receive antenna j."""
-
-    h: np.ndarray
-    coherence: int = 2
-
-    @property
-    def n_rx(self) -> int:
-        return self.h.shape[-2]
-
-    @property
-    def n_tx(self) -> int:
-        return self.h.shape[-1]
 
 
 #: float64 normals per draw; real and imaginary parts are drawn tile by tile
@@ -79,55 +62,44 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
-def draw_channel(
-    rng: np.random.Generator,
-    n_subcarriers: int,
-    n_blocks: int | None = None,
-    n_rx: int = 4,
-    n_tx: int = 2,
-    coherence: int = 2,
-) -> ChannelRealization:
-    """Independent fading per subcarrier (and per block when batched)."""
-    shape = (n_subcarriers, n_rx, n_tx)
-    if n_blocks is not None:
-        shape = (n_blocks,) + shape
-    return ChannelRealization(complex_normal(rng, shape), coherence)
+def draw_channel(rng: np.random.Generator, n_subcarriers: int, n_blocks: int,
+                 n_rx: int = 4) -> np.ndarray:
+    """Independent fading per block and subcarrier: gains with shape
+    (n_blocks, n_subcarriers, n_rx, 2), where h[..., j, i] links transmit
+    antenna i to receive antenna j."""
+    return complex_normal(rng, (n_blocks, n_subcarriers, n_rx, 2))
 
 
 def apply_channel(
     x: np.ndarray,
-    ch: ChannelRealization,
+    h: np.ndarray,
     noise: NoiseConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """y_j = sum_i h_ij a_i + n_j per subcarrier and slot.
+    """y_j = h_j0 a_0 + h_j1 a_1 + n_j per subcarrier and slot.
 
-    ``x`` holds per-antenna frequency-domain frames with shape
-    (n_tx, n_slots, n_subcarriers); the realization must be batched with one
-    gain matrix per coherence interval, i.e. n_slots = coherence * n_blocks.
-    Returns the received frames, shape (n_rx, n_slots, n_subcarriers).
+    ``x`` holds the two antennas' frequency-domain frames with shape
+    (2, n_slots, n_subcarriers), and ``h`` one gain matrix per slot pair,
+    i.e. n_slots = 2 * n_blocks.  Returns the received frames, shape
+    (n_rx, n_slots, n_subcarriers).
     """
     x = np.asarray(x)
-    if x.ndim != 3 or ch.h.ndim != 4:
-        raise ValueError("expected x (n_tx, n_slots, n_sc) and batched gains")
-    n_tx, n_slots, n_sc = x.shape
-    n_blocks = ch.h.shape[0]
-    if n_tx != ch.n_tx or n_sc != ch.h.shape[1] or n_slots != n_blocks * ch.coherence:
+    if h.ndim != 4 or h.shape[-1] != 2 or x.shape != (2, 2 * h.shape[0], h.shape[1]):
         raise ValueError(
-            f"stream shape {x.shape} does not match gains {ch.h.shape} "
-            f"with coherence {ch.coherence}"
+            f"stream shape {x.shape} and gains {h.shape} are not "
+            "(2, 2 * n_blocks, n_sc) and (n_blocks, n_sc, n_rx, 2)"
         )
-    xb = x.reshape(n_tx, n_blocks, ch.coherence, n_sc)
-    y = np.empty((ch.n_rx,) + xb.shape[1:], dtype=complex)
-    term = np.empty_like(y[0]) if n_tx > 1 else None
-    for j in range(ch.n_rx):
+    n_blocks, n_sc, n_rx, _ = h.shape
+    xb = x.reshape(2, n_blocks, 2, n_sc)
+    y = np.empty((n_rx,) + xb.shape[1:], dtype=complex)
+    term = np.empty_like(y[0])
+    for j in range(n_rx):
         # gains into antenna j, (n_blocks, 1, n_sc), broadcast over the
-        # slots of a coherence interval
-        h = ch.h[:, None, :, j, :]
-        np.multiply(h[..., 0], xb[0], out=y[j])
-        for i in range(1, n_tx):
-            y[j] += np.multiply(h[..., i], xb[i], out=term)
-    y = y.reshape(ch.n_rx, n_slots, n_sc)
+        # two slots of a block
+        hj = h[:, None, :, j, :]
+        np.multiply(hj[..., 0], xb[0], out=y[j])
+        y[j] += np.multiply(hj[..., 1], xb[1], out=term)
+    y = y.reshape(n_rx, 2 * n_blocks, n_sc)
     if noise.sigma2 > 0.0:
         # CN(0, sigma2) noise, scaled in the same two steps as
         # complex_normal(rng, y.shape) * sqrt(sigma2), one tile at a time

@@ -1,8 +1,7 @@
 """Command line front end.
 
-    sim sweep [--config FILE] [--profile table1|fast] [--snr a:step:b]
-              [--mod qpsk,64qam,...] [--detector zf|realzf] [--seed N]
-              [--workers N] [--out DIR]
+    sim sweep [--config FILE] [--snr a:step:b] [--mod qpsk,64qam,...]
+              [--detector zf|realzf] [--seed N] [--workers N] [--out DIR]
 
 Exit codes: 0 success, 1 configuration error, 2 runtime/numeric error.
 """
@@ -14,7 +13,7 @@ import sys
 import time
 
 from . import __version__
-from .config import PROFILES, SimConfig, load_config, parse_snr_grid, validate
+from .config import SimConfig, load_config, parse_snr_grid, validate
 from .engine import compute_gains, emit_results, sweep
 from .errors import ConfigError
 
@@ -26,7 +25,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="run a BER sweep over modulations x SNR grid")
     sw.add_argument("--config", help="flat key=value config file")
-    sw.add_argument("--profile", choices=sorted(PROFILES), help="named size preset")
     sw.add_argument("--snr", help="SNR grid, 'start:step:stop' or comma list (dB)")
     sw.add_argument("--mod", help="comma-separated modulation names")
     sw.add_argument("--detector", choices=("zf", "realzf"))
@@ -37,17 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configure(args) -> SimConfig:
-    cfg = SimConfig()
-    if args.config:
-        cfg = load_config(args.config, base=cfg)
-    if args.profile:
-        cfg = dataclasses.replace(
-            cfg,
-            **{
-                f: getattr(PROFILES[args.profile](), f)
-                for f in ("n_subcarriers", "cp_len")
-            },
-        )
+    cfg = load_config(args.config) if args.config else SimConfig()
     overrides = {}
     if args.snr:
         overrides["snr_grid_db"] = parse_snr_grid(args.snr)
@@ -59,9 +47,7 @@ def _configure(args) -> SimConfig:
         overrides["seed"] = args.seed
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return validate(cfg)
+    return validate(dataclasses.replace(cfg, **overrides))
 
 
 def _run_sweep(args) -> int:

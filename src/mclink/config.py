@@ -1,9 +1,9 @@
-"""Simulation configuration: dataclass, named profiles, flat-file parser.
+"""Simulation configuration: dataclass, validation, flat-file parser.
 
-The dataclass defaults match the full system profile (6400 subcarriers,
-1280-sample prefix, -10..20 dB sweep, 2x4 antennas, spreading factor 8,
-rate-1/2 K=3 code).  The ``fast`` profile shrinks only the multicarrier frame
-so smoke tests and statistical checks run at desk scale with identical math.
+The dataclass defaults are the full-size system (6400 subcarriers,
+1280-sample prefix, -10..20 dB sweep, Alamouti 2x4, spreading factor 8,
+rate-1/2 K=3 code).  ``fast_profile`` shrinks only the multicarrier frame so
+smoke tests and statistical checks run at desk scale with identical math.
 
 Config files are flat ``key = value`` text.  Tap sets and code generators are
 written in octal ('7,5'); chip sequences as comma-separated bits.
@@ -36,18 +36,15 @@ class SimConfig:
     max_bit_errors: int = 100
     max_bits: int = 1_000_000
     workers: int = 1
-    # antenna setup and stage toggles (diagnostics / reference runs)
+    # receive antennas and stage toggles (diagnostics / reference runs;
+    # n_rx = 1 is the Alamouti 2x1 reference)
     n_rx: int = 4
-    tx_mode: str = "alamouti"          # alamouti | siso
     spreading: bool = True
     fec: bool = True
-    # SNR axis semantics; both were measured against the target BER bands and
-    # only this combination lands them (see README "SNR reference"):
-    #  - snr_reference "eb": per-modulation Es/N0 = snr + 10*log10(bits/sym *
-    #    code rate); "es" uses the grid value as Es/N0 directly
-    #  - split_tx_power False drives each antenna at unit symbol energy;
-    #    True splits unit total power across the 2 antennas (-3 dB)
-    snr_reference: str = "eb"
+    # transmit power: False drives each antenna at unit symbol energy, True
+    # splits unit total power across the 2 antennas (-3 dB).  With the grid
+    # SNR read per coded payload bit (engine.effective_es_n0_db), only False
+    # lands the target BER bands (see README "SNR reference")
     split_tx_power: bool = False
     message_taps: int = MESSAGE_TAPS_DEFAULT
     # Monte Carlo batching: payload bits per FEC frame and frames per chunk;
@@ -84,13 +81,9 @@ def validate(cfg: SimConfig) -> SimConfig:
         raise ConfigError("invalid subcarrier/CP sizes")
     if cfg.detector not in ("zf", "realzf"):
         raise ConfigError(f"unknown detector {cfg.detector!r}")
-    if cfg.snr_reference not in ("es", "eb"):
-        raise ConfigError(f"unknown snr_reference {cfg.snr_reference!r}")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
-    if cfg.tx_mode not in ("alamouti", "siso"):
-        raise ConfigError(f"unknown tx_mode {cfg.tx_mode!r}")
-    if cfg.tx_mode == "alamouti" and not 1 <= cfg.n_rx <= 4:
+    if not 1 <= cfg.n_rx <= 4:
         raise ConfigError("n_rx must be between 1 and 4")
     if cfg.min_bits < 10_000:
         raise ConfigError("min_bits must be at least 10000")
@@ -100,6 +93,8 @@ def validate(cfg: SimConfig) -> SimConfig:
         raise ConfigError("max_bit_errors and workers must be positive")
     if cfg.frame_payload_bits < 1 or cfg.frames_per_chunk < 1:
         raise ConfigError("chunking sizes must be positive")
+    if math.isnan(cfg.gain_at_snr_db):
+        raise ConfigError("gain_at_snr_db must be a number, not NaN")
     if cfg.message_taps.bit_length() - 1 > 63:
         # the engine seeds the register with rng.integers(1, 1 << degree)
         raise ConfigError("message_taps degree must be at most 63")
@@ -121,10 +116,6 @@ def fast_profile(**overrides) -> SimConfig:
     base = dict(n_subcarriers=256, cp_len=64)
     base.update(overrides)
     return SimConfig(**base)
-
-
-#: Named size presets; ``table1``, the full-size system, is the defaults.
-PROFILES = {"fast": fast_profile, "table1": SimConfig}
 
 
 #: Most grid points an 'a:step:b' SNR range may expand to.
@@ -187,8 +178,8 @@ def _parse_value(name: str, text: str, py_type):
     return text
 
 
-def load_config(path, base: SimConfig | None = None) -> SimConfig:
-    """Read flat key=value text over ``base`` (package defaults if omitted)."""
+def load_config(path) -> SimConfig:
+    """Read flat key=value text; unset fields keep the package defaults."""
     fields = {f.name: f.type for f in dataclasses.fields(SimConfig)}
     types = {"int": int, "float": float, "bool": bool, "str": str}
     values = {}
@@ -208,5 +199,4 @@ def load_config(path, base: SimConfig | None = None) -> SimConfig:
                 values[key] = _parse_value(key, text, py_type)
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    cfg = dataclasses.replace(base or SimConfig(), **values)
-    return validate(cfg)
+    return validate(SimConfig(**values))

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import modem
 from .bits import ConvCode, Prbs, SpreadingCode, conv_encode, despread, spread, viterbi_decode
-from .channel import ChannelRealization, NoiseConfig, apply_channel, complex_normal, draw_channel
+from .channel import NoiseConfig, apply_channel, complex_normal, draw_channel
 from .config import SimConfig, validate
 from .mimo import build_effective, realzf_detect, stbc_encode, zf_detect
 from .ofdm import OfdmConfig, ofdm_demodulate, ofdm_modulate
@@ -53,19 +53,21 @@ def _chunk_seed(seed: int, modulation: str, snr_db: float, chunk: int) -> np.ran
 
 
 def effective_es_n0_db(cfg: SimConfig, c: modem.Constellation, snr_db: float) -> float:
-    """Symbol-level Es/N0 for a grid SNR under the configured reference."""
-    if cfg.snr_reference == "es" or math.isinf(snr_db):
+    """Symbol-level Es/N0 for a grid SNR read as energy per coded payload
+    bit: snr + 10*log10(bits per symbol * code rate)."""
+    if math.isinf(snr_db):
         return snr_db
     code_rate = 0.5 if cfg.fec else 1.0
     return snr_db + 10.0 * math.log10(c.bits_per_symbol * code_rate)
 
 
-def _redraw_weak_blocks(ch: ChannelRealization, rng: np.random.Generator) -> int:
-    """Replace blocks with numerically zero energy; returns the redraw count."""
+def _redraw_weak_blocks(h: np.ndarray, rng: np.random.Generator) -> int:
+    """Replace blocks of ``h`` with numerically zero energy in place; returns
+    the redraw count."""
     total = 0
     while True:
         # per-block sum of re^2 + im^2, as one dot product over the float view
-        parts = np.ascontiguousarray(ch.h).view(np.float64)
+        parts = np.ascontiguousarray(h).view(np.float64)
         parts = parts.reshape(parts.shape[:-2] + (-1,))
         g = np.vecdot(parts, parts)
         bad = ~(g > GRAM_FLOOR)
@@ -73,14 +75,13 @@ def _redraw_weak_blocks(ch: ChannelRealization, rng: np.random.Generator) -> int
         if n_bad == 0:
             return total
         total += n_bad
-        ch.h[bad] = complex_normal(rng, (n_bad,) + ch.h.shape[-2:])
+        h[bad] = complex_normal(rng, (n_bad,) + h.shape[-2:])
 
 
-def _frame_grid(stream: np.ndarray, n_subcarriers: int, pair_slots: bool) -> np.ndarray:
-    """Zero-pad a symbol stream into (n_slots, n_subcarriers) frames."""
-    n_slots = -(-stream.size // n_subcarriers)
-    if pair_slots and n_slots % 2:
-        n_slots += 1
+def _frame_grid(stream: np.ndarray, n_subcarriers: int) -> np.ndarray:
+    """Zero-pad a symbol stream into (n_slots, n_subcarriers) frames, with
+    n_slots rounded up to whole Alamouti slot pairs."""
+    n_slots = 2 * -(-stream.size // (2 * n_subcarriers))
     grid = np.zeros(n_slots * n_subcarriers, dtype=complex)
     grid[: stream.size] = stream
     return grid.reshape(n_slots, n_subcarriers)
@@ -101,9 +102,9 @@ def _detect_alamouti(cfg: SimConfig, frames: np.ndarray, snr_db: float,
 
     n_slots, n_sc = frames.shape
     n_pairs = n_slots // 2
-    ch = draw_channel(rng, n_sc, n_blocks=n_pairs, n_rx=cfg.n_rx)
-    redraws = _redraw_weak_blocks(ch, rng)
-    y = apply_channel(x_freq, ch, NoiseConfig(snr_db), rng)
+    h = draw_channel(rng, n_sc, n_blocks=n_pairs, n_rx=cfg.n_rx)
+    redraws = _redraw_weak_blocks(h, rng)
+    y = apply_channel(x_freq, h, NoiseConfig(snr_db), rng)
 
     # one detection problem per (pair, subcarrier), solved a tile of slot
     # pairs at a time so each tile's working set stays in cache
@@ -111,7 +112,7 @@ def _detect_alamouti(cfg: SimConfig, frames: np.ndarray, snr_db: float,
     est = np.empty((n_pairs, 2, n_sc), dtype=complex)
     step = max(1, TILE_BLOCKS // n_sc)
     for p in range(0, n_pairs, step):
-        h_tile = ch.h[p : p + step]
+        h_tile = h[p : p + step]
         if cfg.split_tx_power:
             h_tile = h_tile * amp
         y_tile = y_blocks[p : p + step]
@@ -121,18 +122,6 @@ def _detect_alamouti(cfg: SimConfig, frames: np.ndarray, snr_db: float,
             out = zf_detect(build_effective(h_tile, y_tile))
         est[p : p + step] = out.estimates.transpose(0, 2, 1)
     return est.reshape(n_slots, n_sc), redraws
-
-
-def _detect_siso(cfg: SimConfig, frames: np.ndarray, snr_db: float,
-                 rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Single-antenna reference path: per-subcarrier scalar inversion."""
-    ofdm_cfg = OfdmConfig(cfg.n_subcarriers, cfg.cp_len)
-    x_freq = ofdm_demodulate(ofdm_modulate(frames, ofdm_cfg), ofdm_cfg)
-    ch = draw_channel(rng, cfg.n_subcarriers, n_blocks=frames.shape[0],
-                      n_rx=1, n_tx=1, coherence=1)
-    redraws = _redraw_weak_blocks(ch, rng)
-    y = apply_channel(x_freq[None], ch, NoiseConfig(snr_db), rng)[0]
-    return y / ch.h[:, :, 0, 0], redraws
 
 
 def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tuple[int, int, int]:
@@ -158,13 +147,8 @@ def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tu
     symbols = modem.map_bits(coded, c)
     stream = symbols.reshape(-1)
 
-    es_db = effective_es_n0_db(cfg, c, snr_db)
-    if cfg.tx_mode == "siso":
-        frames = _frame_grid(stream, cfg.n_subcarriers, pair_slots=False)
-        est, redraws = _detect_siso(cfg, frames, es_db, rng)
-    else:
-        frames = _frame_grid(stream, cfg.n_subcarriers, pair_slots=True)
-        est, redraws = _detect_alamouti(cfg, frames, es_db, rng)
+    frames = _frame_grid(stream, cfg.n_subcarriers)
+    est, redraws = _detect_alamouti(cfg, frames, effective_es_n0_db(cfg, c, snr_db), rng)
 
     est_stream = est.reshape(-1)[: stream.size].reshape(symbols.shape)
     rx_coded = modem.demap_symbols(est_stream, c)[..., :coded_len]

@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import __version__
-from .config import SimConfig, validate
-from .errors import ConfigError
+from .config import SimConfig
 
 
 @dataclass(frozen=True)
@@ -121,20 +120,6 @@ def write_gain_csv(gains, path) -> None:
             )
 
 
-def read_ber_csv(path) -> list[BerRecord]:
-    records = []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != BER_CSV_HEADER:
-            raise ValueError(f"unexpected BER CSV header: {header!r}")
-        for line in f:
-            mod, snr, bits, errors, ber, ci95 = line.strip().split(",")
-            records.append(
-                BerRecord(mod, float(snr), int(bits), int(errors), float(ber), float(ci95))
-            )
-    return records
-
-
 def write_manifest(cfg: SimConfig, path, wall_time_s: float, diagnostics=None) -> None:
     payload = {
         "version": __version__,
@@ -147,15 +132,3 @@ def write_manifest(cfg: SimConfig, path, wall_time_s: float, diagnostics=None) -
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
-
-def load_manifest(path) -> tuple[SimConfig, dict]:
-    with open(path) as f:
-        payload = json.load(f)
-    raw = payload["config"]
-    fields = {f.name: f for f in dataclasses.fields(SimConfig)}
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in fields:
-            raise ConfigError(f"manifest has unknown config key {key!r}")
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
-    return validate(SimConfig(**kwargs)), payload

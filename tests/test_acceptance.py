@@ -13,10 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from mclink import fast_profile, run_chain, sweep
+from mclink import SimConfig, fast_profile, run_chain, sweep
 from mclink.bits import ConvCode, conv_encode, viterbi_decode
 from mclink.channel import NoiseConfig, complex_normal
-from mclink.config import PROFILES
 from mclink.engine import compute_gains, emit_results
 from mclink.mimo import alamouti_effective, build_effective, realzf_detect, zf_detect, zf_weights
 from mclink import modem
@@ -43,7 +42,7 @@ def fast_sweep():
 
 @pytest.fixture(scope="module")
 def table1_sweep():
-    cfg = PROFILES["table1"](min_bits=100_000, max_bits=100_000, workers=4, seed=412)
+    cfg = SimConfig(min_bits=100_000, max_bits=100_000, workers=4, seed=412)
     start = time.perf_counter()
     records = sweep(cfg)
     wall = time.perf_counter() - start

@@ -320,6 +320,7 @@ class TestViterbi:
         ConvCode(3, (0o5, 0o7)),
         ConvCode(4, (0o17, 0o13)),
         ConvCode(5, (0o23, 0o35)),
+        ConvCode(9, (0o561, 0o753)),  # the largest constraint length accepted
     ], ids=lambda c: f"K{c.constraint_length}-{c.generators[0]:o}{c.generators[1]:o}")
     def test_matches_radix2_reference(self, code):
         """Random and p=0.5 (tie-heavy) inputs, odd and even step counts,

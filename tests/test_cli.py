@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -6,12 +7,6 @@ import pytest
 from mclink.cli import main
 from mclink.config import SimConfig, load_config, parse_snr_grid
 from mclink.errors import ConfigError
-from mclink.results import read_ber_csv
-
-FAST_ARGS = [
-    "sweep", "--profile", "fast", "--mod", "qpsk", "--snr", "-5:5:0",
-    "--seed", "7", "--workers", "2",
-]
 
 
 def write_tiny_config(path):
@@ -58,9 +53,11 @@ def test_config_file_errors(tmp_path):
     bad.write_text("unknown_field = 3\n")
     with pytest.raises(ConfigError):
         load_config(bad)
-    bad.write_text("cond_cap = 1e8\n")  # a field that was removed
-    with pytest.raises(ConfigError, match="unknown key 'cond_cap'"):
-        load_config(bad)
+    # fields that were removed
+    for line in ("cond_cap = 1e8", "tx_mode = siso", "snr_reference = es"):
+        bad.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{line.split()[0]}'"):
+            load_config(bad)
     bad.write_text("min_bits = lots\n")
     with pytest.raises(ConfigError):
         load_config(bad)
@@ -72,8 +69,8 @@ def test_cli_sweep_with_config(tmp_path, capsys):
     out = tmp_path / "results"
     code = main(["sweep", "--config", str(cfg_path), "--out", str(out)])
     assert code == 0
-    records = read_ber_csv(out / "ber.csv")
-    assert len(records) == 4  # 2 modulations x 2 SNRs
+    rows = list(csv.DictReader((out / "ber.csv").read_text().splitlines()))
+    assert len(rows) == 4  # 2 modulations x 2 SNRs
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 99
     assert manifest["config"]["n_subcarriers"] == 64
@@ -91,8 +88,8 @@ def test_cli_flag_overrides(tmp_path):
         "--detector", "realzf", "--seed", "3", "--out", str(out),
     ])
     assert code == 0
-    records = read_ber_csv(out / "ber.csv")
-    assert {r.modulation for r in records} == {"16qam"}
+    rows = csv.DictReader((out / "ber.csv").read_text().splitlines())
+    assert {row["modulation"] for row in rows} == {"16qam"}
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["detector"] == "realzf"
     assert manifest["seed"] == 3
@@ -125,7 +122,7 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
 
 
 def test_default_profile_is_full_size(tmp_path):
-    # config defaults (no profile flag) must carry the full-size frame
+    # config defaults must carry the full-size frame
     assert SimConfig().n_subcarriers == 6400
 
 
@@ -162,15 +159,33 @@ def test_comparison_recipe_runs(tmp_path, capsys):
         assert (out / name).exists()
 
 
-def test_unknown_gain_reference_fails_before_the_sweep(tmp_path, capsys):
+def assert_fails_before_the_sweep(tmp_path, capsys, line):
+    """The tiny config plus ``line`` exits 1 and writes no output."""
     cfg_path = tmp_path / "sim.cfg"
     write_tiny_config(cfg_path)
     with open(cfg_path, "a") as f:
-        f.write("gain_reference = 128qam\n")
+        f.write(line + "\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unknown_gain_reference_fails_before_the_sweep(tmp_path, capsys):
+    assert_fails_before_the_sweep(tmp_path, capsys, "gain_reference = 128qam")
+
+
+@pytest.mark.parametrize("line", [
+    # removed fields
+    "tx_mode = siso",
+    "snr_reference = es",
+    # no gain can be read at NaN: the sweep ran and wrote a header-only gains.csv
+    "gain_at_snr_db = nan",
+    # the decoder of one chunk needs over 12 GiB: the sweep failed in its first chunk
+    "conv_constraint_length = 16\nconv_generators = 100001,100003",
+], ids=["tx_mode", "snr_reference", "gain_at_nan", "K16"])
+def test_unservable_config_fails_before_the_sweep(tmp_path, capsys, line):
+    assert_fails_before_the_sweep(tmp_path, capsys, line)
 
 
 @pytest.mark.parametrize("snr", ["0:inf:1", "-inf:1:0", "0:5:inf", "0:1e-300:1", "0:nan:1"])
@@ -190,8 +205,10 @@ def test_unbounded_snr_range_fails_fast(tmp_path, snr):
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = tmp_path / "out"
+    cfg_path = tmp_path / "sim.cfg"
+    write_tiny_config(cfg_path)
     proc = subprocess.run(
-        [sys.executable, "-m", "mclink", "sweep", "--profile", "fast", f"--snr={snr}",
+        [sys.executable, "-m", "mclink", "sweep", "--config", str(cfg_path), f"--snr={snr}",
          "--out", str(out)],
         capture_output=True, text=True, timeout=10, preexec_fn=cap_memory,
         env=dict(os.environ, PYTHONPATH=path),
@@ -202,9 +219,11 @@ def test_unbounded_snr_range_fails_fast(tmp_path, snr):
 
 
 def test_unreadable_snr_grid_is_a_config_error(tmp_path):
+    cfg_path = tmp_path / "sim.cfg"
+    write_tiny_config(cfg_path)
     for snr in ("a:1:2", "0,x"):
         with pytest.raises(ConfigError):
             parse_snr_grid(snr)
-        assert main(["sweep", "--profile", "fast", f"--snr={snr}",
+        assert main(["sweep", "--config", str(cfg_path), f"--snr={snr}",
                      "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
