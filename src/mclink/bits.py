@@ -114,8 +114,8 @@ def despread(chips: np.ndarray, code: SpreadingCode) -> np.ndarray:
 
 
 #: Largest constraint length a ``ConvCode`` accepts, the largest in common
-#: use.  The decoder keeps trace-back links for all 2^(K-1) states at every
-#: step, so one default chunk at K = 16 would need over 12 GiB.
+#: use.  The decoder keeps decisions for all 2^(K-1) states at every step,
+#: so at K = 16 one 10,000-bit chunk asks for a 5 GiB array.
 MAX_CONSTRAINT_LENGTH = 9
 
 

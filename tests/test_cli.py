@@ -181,9 +181,7 @@ def test_unknown_gain_reference_fails_before_the_sweep(tmp_path, capsys):
     "snr_reference = es",
     # no gain can be read at NaN: the sweep ran and wrote a header-only gains.csv
     "gain_at_snr_db = nan",
-    # the decoder of one chunk needs over 12 GiB: the sweep failed in its first chunk
-    "conv_constraint_length = 16\nconv_generators = 100001,100003",
-], ids=["tx_mode", "snr_reference", "gain_at_nan", "K16"])
+])
 def test_unservable_config_fails_before_the_sweep(tmp_path, capsys, line):
     assert_fails_before_the_sweep(tmp_path, capsys, line)
 
