@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import FramingError
 
+#: ITU O.151 PRBS-23 polynomial x^23 + x^18 + 1, the message source's taps.
+PRBS23_TAPS = (1 << 23) | (1 << 18) | 1
+
 
 class Prbs:
     """Fibonacci LFSR over GF(2).

@@ -1,12 +1,14 @@
 """Simulation configuration: dataclass, validation, flat-file parser.
 
 The dataclass defaults are the full-size system (6400 subcarriers,
-1280-sample prefix, -10..20 dB sweep, Alamouti 2x4, spreading factor 8,
-rate-1/2 K=3 code).  ``fast_profile`` shrinks only the multicarrier frame so
-smoke tests and statistical checks run at desk scale with identical math.
+1280-sample prefix, -10..20 dB sweep, Alamouti 2x4).  ``fast_profile``
+shrinks only the multicarrier frame so smoke tests and statistical checks run
+at desk scale with identical math.  The bit stages (PRBS-23 source, 8-chip
+spreading, K=3 (7,5) code) are fixed constants of ``bits`` and not fields.
 
-Config files are flat ``key = value`` text.  Tap sets and code generators are
-written in octal ('7,5'); chip sequences as comma-separated bits.
+Config files are flat ``key = value`` text; each value is read as the type of
+its field's default, and the two list fields as comma lists (the SNR grid
+also as 'start:step:stop').
 """
 from __future__ import annotations
 
@@ -17,8 +19,12 @@ from dataclasses import dataclass
 from . import modem
 from .errors import ConfigError
 
-#: ITU O.151 PRBS-23 polynomial x^23 + x^18 + 1 for the message source.
-MESSAGE_TAPS_DEFAULT = (1 << 23) | (1 << 18) | 1
+#: Largest frame and chunk ``validate`` accepts.  One QPSK chunk (the most
+#: symbols per payload bit) peaked at 85 MB RSS at the default 25,000 payload
+#: bits, 517 MB at 250,000 bits (997 MB at 500,000) and 160 MB at 65,536
+#: subcarriers (401 MB at 262,144).
+MAX_SUBCARRIERS = 65_536
+MAX_CHUNK_PAYLOAD_BITS = 250_000
 
 
 @dataclass(frozen=True)
@@ -27,9 +33,6 @@ class SimConfig:
     snr_grid_db: tuple[float, ...] = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
     n_subcarriers: int = 6400
     cp_len: int = 1280
-    spreading_chips: tuple[int, ...] = (1, 0, 1, 1, 0, 0, 1, 0)
-    conv_constraint_length: int = 3
-    conv_generators: tuple[int, int] = (0o7, 0o5)
     detector: str = "zf"               # zf | realzf
     seed: int = 20240
     min_bits: int = 100_000
@@ -46,7 +49,6 @@ class SimConfig:
     # SNR read per coded payload bit (engine.effective_es_n0_db), only False
     # lands the target BER bands (see README "SNR reference")
     split_tx_power: bool = False
-    message_taps: int = MESSAGE_TAPS_DEFAULT
     # Monte Carlo batching: payload bits per FEC frame and frames per chunk;
     # results are deterministic in (config, seed) including these two.
     frame_payload_bits: int = 200
@@ -77,8 +79,8 @@ def validate(cfg: SimConfig) -> SimConfig:
     if any(math.isnan(snr) or snr == -math.inf for snr in cfg.snr_grid_db):
         # +inf stays valid: it switches the noise off
         raise ConfigError("snr_grid_db values must be numbers or +inf, not NaN or -inf")
-    if cfg.n_subcarriers < 1 or not 0 <= cfg.cp_len <= cfg.n_subcarriers:
-        raise ConfigError("invalid subcarrier/CP sizes")
+    if not 1 <= cfg.n_subcarriers <= MAX_SUBCARRIERS or not 0 <= cfg.cp_len <= cfg.n_subcarriers:
+        raise ConfigError(f"invalid subcarrier/CP sizes (at most {MAX_SUBCARRIERS} subcarriers)")
     if cfg.detector not in ("zf", "realzf"):
         raise ConfigError(f"unknown detector {cfg.detector!r}")
     if cfg.seed < 0:
@@ -93,19 +95,10 @@ def validate(cfg: SimConfig) -> SimConfig:
         raise ConfigError("max_bit_errors and workers must be positive")
     if cfg.frame_payload_bits < 1 or cfg.frames_per_chunk < 1:
         raise ConfigError("chunking sizes must be positive")
+    if cfg.chunk_payload_bits > MAX_CHUNK_PAYLOAD_BITS:
+        raise ConfigError(f"a chunk holds at most {MAX_CHUNK_PAYLOAD_BITS} payload bits")
     if math.isnan(cfg.gain_at_snr_db):
         raise ConfigError("gain_at_snr_db must be a number, not NaN")
-    if cfg.message_taps.bit_length() - 1 > 63:
-        # the engine seeds the register with rng.integers(1, 1 << degree)
-        raise ConfigError("message_taps degree must be at most 63")
-    try:
-        from .bits import ConvCode, Prbs, SpreadingCode
-
-        SpreadingCode(cfg.spreading_chips)
-        ConvCode(cfg.conv_constraint_length, cfg.conv_generators)
-        Prbs(cfg.message_taps, 1)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if (mods, ref) != (cfg.modulations, cfg.gain_reference):
         cfg = dataclasses.replace(cfg, modulations=mods, gain_reference=ref)
     return cfg
@@ -151,37 +144,28 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
     return tuple(round(start + i * step, 9) for i in range(count))
 
 
-_LIST_FIELDS = {"modulations", "spreading_chips", "conv_generators", "snr_grid_db"}
-_OCTAL_FIELDS = {"conv_generators", "message_taps"}
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
 
 
-def _parse_value(name: str, text: str, py_type):
+def _parse_value(name: str, text: str, default):
+    """Read ``text`` as the type of the field's ``default``."""
     text = text.strip()
     if name == "snr_grid_db":
         return parse_snr_grid(text)
     if name == "modulations":
         return tuple(p.strip() for p in text.split(",") if p.strip())
-    if name in _LIST_FIELDS:
-        base = 8 if name in _OCTAL_FIELDS else 10
-        return tuple(int(p.strip(), base) for p in text.split(","))
-    if py_type is bool:
+    if type(default) is bool:
         try:
             return _BOOL_WORDS[text.lower()]
         except KeyError:
             raise ConfigError(f"cannot read boolean {name} = {text!r}") from None
-    if py_type is int:
-        return int(text, 8 if name in _OCTAL_FIELDS else 10)
-    if py_type is float:
-        return float(text)
-    return text
+    return type(default)(text)  # int, float or str
 
 
 def load_config(path) -> SimConfig:
     """Read flat key=value text; unset fields keep the package defaults."""
-    fields = {f.name: f.type for f in dataclasses.fields(SimConfig)}
-    types = {"int": int, "float": float, "bool": bool, "str": str}
+    defaults = dataclasses.asdict(SimConfig())
     values = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
@@ -192,11 +176,10 @@ def load_config(path) -> SimConfig:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, text = line.partition("=")
             key = key.strip()
-            if key not in fields:
+            if key not in defaults:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            py_type = types.get(str(fields[key]).split("[")[0].strip(), str)
             try:
-                values[key] = _parse_value(key, text, py_type)
+                values[key] = _parse_value(key, text, defaults[key])
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return validate(SimConfig(**values))

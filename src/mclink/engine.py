@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import modem
-from .bits import ConvCode, Prbs, SpreadingCode, conv_encode, despread, spread, viterbi_decode
+from .bits import PRBS23_TAPS, ConvCode, Prbs, SpreadingCode, conv_encode, despread, spread, viterbi_decode
 from .channel import NoiseConfig, apply_channel, complex_normal, draw_channel
 from .config import SimConfig, validate
 from .mimo import build_effective, realzf_detect, stbc_encode, zf_detect
@@ -43,6 +43,10 @@ GRAM_FLOOR = 1e-12
 #: 256-512 KiB each, so its working set stays near a 2 MiB per-core L2 cache.
 #: A tile holds whole slot pairs, at least one.
 TILE_BLOCKS = 2048
+
+#: The chain's fixed bit stages: the 8-chip signature and the K=3 (7,5) code.
+SPREADING_CODE = SpreadingCode()
+CONV_CODE = ConvCode()
 
 
 def _chunk_seed(seed: int, modulation: str, snr_db: float, chunk: int) -> np.random.SeedSequence:
@@ -129,15 +133,12 @@ def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tu
     c = modem.get_constellation(modulation)
     rng = np.random.default_rng(_chunk_seed(cfg.seed, c.name, snr_db, chunk))
 
-    degree = cfg.message_taps.bit_length() - 1
-    source = Prbs(cfg.message_taps, int(rng.integers(1, 1 << degree)))
+    source = Prbs(PRBS23_TAPS, int(rng.integers(1, 1 << 23)))
     payload = source.generate(cfg.frames_per_chunk * cfg.frame_payload_bits)
     payload = payload.reshape(cfg.frames_per_chunk, cfg.frame_payload_bits)
 
-    code = SpreadingCode(cfg.spreading_chips)
-    conv = ConvCode(cfg.conv_constraint_length, cfg.conv_generators)
-    tx_bits = spread(payload, code) if cfg.spreading else payload
-    coded = conv_encode(tx_bits, conv) if cfg.fec else tx_bits
+    tx_bits = spread(payload, SPREADING_CODE) if cfg.spreading else payload
+    coded = conv_encode(tx_bits, CONV_CODE) if cfg.fec else tx_bits
     coded_len = coded.shape[-1]
     pad = (-coded_len) % c.bits_per_symbol
     if pad:
@@ -152,8 +153,8 @@ def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tu
 
     est_stream = est.reshape(-1)[: stream.size].reshape(symbols.shape)
     rx_coded = modem.demap_symbols(est_stream, c)[..., :coded_len]
-    rx_bits = viterbi_decode(rx_coded, conv) if cfg.fec else rx_coded
-    rx_payload = despread(rx_bits, code) if cfg.spreading else rx_bits
+    rx_bits = viterbi_decode(rx_coded, CONV_CODE) if cfg.fec else rx_coded
+    rx_payload = despread(rx_bits, SPREADING_CODE) if cfg.spreading else rx_bits
 
     errors = int(np.count_nonzero(rx_payload != payload))
     return payload.size, errors, redraws

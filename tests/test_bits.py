@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclink.bits import (
+    PRBS23_TAPS,
     ConvCode,
     Prbs,
     SpreadingCode,
@@ -139,6 +140,26 @@ class TestPrbs:
         with pytest.raises(ValueError):
             Prbs(TAPS_X3, 0)
 
+    # negative, degree below 1, no constant term
+    @pytest.mark.parametrize("taps", [-5, -(1 << 23) - 1, 0, 1, 0o16])
+    def test_bad_taps_rejected(self, taps):
+        with pytest.raises(ValueError):
+            Prbs(taps, 1)
+
+    @settings(deadline=None, max_examples=150)
+    @given(taps=st.integers(max_value=0))
+    def test_non_positive_taps_rejected(self, taps):
+        with pytest.raises(ValueError):
+            Prbs(taps, 1)
+
+    def test_prbs23_register_holds_every_engine_seed(self):
+        # the engine seeds the source with rng.integers(1, 1 << 23)
+        assert PRBS23_TAPS == (1 << 23) | (1 << 18) | 1
+        for state in (1, (1 << 23) - 1):
+            assert Prbs(PRBS23_TAPS, state).degree == 23
+        with pytest.raises(ValueError):
+            Prbs(PRBS23_TAPS, 1 << 23)
+
     @pytest.mark.parametrize("taps", [
         TAPS_X3,
         0o31,                               # x^4 + x^3 + 1: one bit per word
@@ -259,6 +280,16 @@ class TestConvEncode:
             ConvCode(3, (0o17, 0o5))
         with pytest.raises(ValueError):
             ConvCode(3, (0o6, 0o5))
+        with pytest.raises(ValueError):
+            ConvCode(3, (0o7, 0o5, 0o3))
+
+    def test_constraint_length_cap(self):
+        # past MAX_CONSTRAINT_LENGTH = 9 (K9 decodes in TestViterbi) the
+        # decoder's per-step decisions cannot fit a chunk
+        with pytest.raises(ValueError):
+            ConvCode(10, (0o1001, 0o1003))
+        with pytest.raises(ValueError):
+            ConvCode(16, (0o100001, 0o100003))
 
 
 class TestViterbi:

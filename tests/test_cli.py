@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -20,8 +21,7 @@ def write_tiny_config(path):
         "max_bits = 10000\n"
         "frame_payload_bits = 100\n"
         "frames_per_chunk = 100\n"
-        "conv_generators = 7,5   # octal\n"
-        "seed = 99\n"
+        "seed = 99   # inline comment\n"
     )
 
 
@@ -40,7 +40,6 @@ def test_config_file_roundtrip(tmp_path):
     cfg = load_config(path)
     assert cfg.modulations == ("qpsk", "8psk")
     assert cfg.snr_grid_db == (-5.0, 0.0)
-    assert cfg.conv_generators == (0o7, 0o5)
     assert cfg.seed == 99
     assert cfg.cp_len == 16
 
@@ -54,13 +53,30 @@ def test_config_file_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(bad)
     # fields that were removed
-    for line in ("cond_cap = 1e8", "tx_mode = siso", "snr_reference = es"):
+    for line in ("cond_cap = 1e8", "tx_mode = siso", "snr_reference = es",
+                 "spreading_chips = 1,0,1,1,0,0,1,0", "conv_constraint_length = 3",
+                 "conv_generators = 7,5", "message_taps = 40000041"):
         bad.write_text(line + "\n")
         with pytest.raises(ConfigError, match=f"unknown key '{line.split()[0]}'"):
             load_config(bad)
     bad.write_text("min_bits = lots\n")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+def test_every_default_written_as_text_loads_back(tmp_path):
+    # each value is read as the type of its field's default
+    defaults = dataclasses.asdict(SimConfig())
+    assert {type(v) for v in defaults.values()} == {bool, int, float, str, tuple}
+    path = tmp_path / "defaults.cfg"
+    path.write_text("".join(
+        f"{name} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+        for name, value in defaults.items()
+    ))
+    loaded = load_config(path)
+    assert loaded == SimConfig()
+    for name, value in defaults.items():
+        assert type(getattr(loaded, name)) is type(value), name
 
 
 def test_cli_sweep_with_config(tmp_path, capsys):
@@ -121,6 +137,17 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_cli_runtime_error_without_message_is_named(tmp_path, capsys, monkeypatch):
+    def out_of_memory(cfg):
+        raise MemoryError()
+
+    monkeypatch.setattr("mclink.cli.sweep", out_of_memory)
+    cfg_path = tmp_path / "sim.cfg"
+    write_tiny_config(cfg_path)
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "runtime error: MemoryError" in capsys.readouterr().err
+
+
 def test_default_profile_is_full_size(tmp_path):
     # config defaults must carry the full-size frame
     assert SimConfig().n_subcarriers == 6400
@@ -179,6 +206,13 @@ def test_unknown_gain_reference_fails_before_the_sweep(tmp_path, capsys):
     # removed fields
     "tx_mode = siso",
     "snr_reference = es",
+    "spreading_chips = 1,0,1,1,0,0,1,0",
+    "conv_constraint_length = 3",
+    "conv_generators = 7,5",
+    "message_taps = 40000041",
+    # just past the memory caps, so a missing cap runs a sweep that fits
+    "n_subcarriers = 65537",
+    "frames_per_chunk = 2501",  # 250,100 bits in 100-bit frames
     # no gain can be read at NaN: the sweep ran and wrote a header-only gains.csv
     "gain_at_snr_db = nan",
 ])

@@ -78,10 +78,3 @@ def test_validate_accepts_exactly_the_usable_grids(grid):
     else:
         with pytest.raises(ConfigError):
             validate(SimConfig(snr_grid_db=grid))
-
-
-@props
-@given(taps=st.integers(max_value=0))
-def test_non_positive_message_taps_rejected(taps):
-    with pytest.raises(ConfigError):
-        validate(SimConfig(message_taps=taps))

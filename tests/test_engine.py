@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mclink import SimConfig, fast_profile, run_chain, sweep
-from mclink.config import validate
+from mclink.config import MAX_CHUNK_PAYLOAD_BITS, MAX_SUBCARRIERS, validate
 from mclink.engine import compute_gains, effective_es_n0_db, emit_results
 from mclink.errors import ConfigError
 from mclink import modem
@@ -31,9 +31,6 @@ class TestConfig:
         assert cfg.cp_len == 1280
         assert cfg.snr_grid_db == (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
         assert cfg.modulations == ("qpsk", "8psk", "8qam", "16qam", "32qam", "64qam")
-        assert len(cfg.spreading_chips) == 8
-        assert cfg.conv_constraint_length == 3
-        assert cfg.conv_generators == (0o7, 0o5)
         assert cfg.n_rx == 4
 
     def test_fast_profile_changes_frame_only(self):
@@ -53,24 +50,20 @@ class TestConfig:
             dict(n_rx=5),
             dict(workers=0),
             dict(seed=-1),
-            dict(spreading_chips=(1, 1, 1, 1, 1, 1, 1, 1)),
-            dict(conv_generators=(0o7, 0o5, 0o3)),
-            # constraint lengths past 9, whose decoder cannot fit a chunk
-            dict(conv_constraint_length=10, conv_generators=(0o1001, 0o1003)),
-            dict(conv_constraint_length=16, conv_generators=(0o100001, 0o100003)),
             dict(gain_at_snr_db=math.nan),
             dict(gain_reference="128qam"),
-            # message taps the engine cannot seed: negative, degree below 1,
-            # no constant term, a register too wide for rng.integers
-            dict(message_taps=-5),
-            dict(message_taps=-(1 << 23) - 1),
-            dict(message_taps=0),
-            dict(message_taps=1),
-            dict(message_taps=0o16),
-            dict(message_taps=(1 << 64) | 3),
+            # frames and chunks past the memory caps
+            dict(n_subcarriers=MAX_SUBCARRIERS + 1),
+            dict(frame_payload_bits=MAX_CHUNK_PAYLOAD_BITS + 1, frames_per_chunk=1),
+            dict(frame_payload_bits=200, frames_per_chunk=1251),
         ):
             with pytest.raises(ConfigError):
                 validate(SimConfig(**bad))
+
+    def test_frame_and_chunk_caps_are_inclusive(self):
+        assert validate(SimConfig(n_subcarriers=MAX_SUBCARRIERS)).n_subcarriers == 65_536
+        cfg = validate(SimConfig(frame_payload_bits=200, frames_per_chunk=1250))
+        assert cfg.chunk_payload_bits == MAX_CHUNK_PAYLOAD_BITS == 250_000
 
     def test_snr_grid_rejects_nan_and_minus_inf_keeps_plus_inf(self):
         for grid in ((math.nan,), (-5.0, math.nan), (-math.inf, 0.0)):
@@ -93,12 +86,6 @@ class TestConfig:
         cfg = validate(SimConfig(modulations=("QPSK", "64-QAM"), gain_reference="64-QAM"))
         assert cfg.modulations == ("qpsk", "64qam")
         assert cfg.gain_reference == "64qam"
-
-    def test_message_taps_up_to_degree_63_accepted(self):
-        from mclink.config import MESSAGE_TAPS_DEFAULT
-
-        for taps in (MESSAGE_TAPS_DEFAULT, (1 << 63) | 3):
-            assert validate(SimConfig(message_taps=taps)).message_taps == taps
 
     def test_effective_snr_reference(self):
         cfg = SimConfig()  # eb reference, fec on
