@@ -1,4 +1,7 @@
-"""Bit-level stages: PRBS source, direct-sequence spreading, rate-1/2 FEC.
+"""Bit-level stages of the chain, each fixed: the PRBS-23 message source
+(x^23 + x^18 + 1), 8-chip direct-sequence spreading with the signature
+10110010, and the K=3 rate-1/2 convolutional code with octal generators
+(7, 5), zero-flushed, with its Viterbi decoder.
 
 Bit streams are numpy uint8 arrays of 0/1 values.  Every function accepts a
 trailing-axis layout, so a batch of frames can be processed as a 2-D array
@@ -6,149 +9,83 @@ trailing-axis layout, so a batch of frames can be processed as a 2-D array
 """
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import FramingError
 
-#: ITU O.151 PRBS-23 polynomial x^23 + x^18 + 1, the message source's taps.
-PRBS23_TAPS = (1 << 23) | (1 << 18) | 1
+#: The source register length and its one inner tap: x^23 + x^18 + 1.
+PRBS_DEGREE = 23
+PRBS_TAP = 18
+#: The feedback for the next 23 - 18 bits reads only bits already in the
+#: register, so the register advances a whole word of that many bits per step.
+PRBS_WORD = PRBS_DEGREE - PRBS_TAP
+
+#: The spreading signature; one payload bit becomes 8 chips.
+CHIPS = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
+CHIPS.flags.writeable = False
+
+#: The convolutional code: constraint length, generators, trellis states.
+CONSTRAINT_LENGTH = 3
+GENERATORS = (0o7, 0o5)
+N_STATES = 1 << (CONSTRAINT_LENGTH - 1)
 
 
 class Prbs:
-    """Fibonacci LFSR over GF(2).
+    """The PRBS-23 message source, a Fibonacci LFSR over GF(2).
 
-    ``taps`` is the feedback polynomial as an integer bit mask including the
-    highest-order and constant terms, e.g. x^3 + x^2 + 1 -> 0b1101 (0o15).
     The register state advances with each generated bit, so consecutive calls
-    continue the same sequence.  A maximal-length tap set yields period
-    2^r - 1 for an r-bit register.
+    continue the same sequence, of period 2^23 - 1.
     """
 
-    def __init__(self, taps: int, state: int):
-        degree = taps.bit_length() - 1
-        if taps < 0 or degree < 1:
-            raise ValueError(f"tap mask {taps:#o} is not a positive mask with feedback terms")
-        if not taps & 1:
-            raise ValueError(f"tap mask {taps:#o} must include the constant term")
+    def __init__(self, state: int):
         if state == 0:
             raise ValueError("LFSR seeded with all-zero state would lock up")
-        if not 0 < state < (1 << degree):
-            raise ValueError(f"state {state:#b} does not fit in {degree} register bits")
-        self.taps = taps
+        if not 0 < state < (1 << PRBS_DEGREE):
+            raise ValueError(f"state {state:#b} does not fit in {PRBS_DEGREE} register bits")
         self.state = state
-        self.degree = degree
-        # feedback taps exclude the x^r term; output is the register LSB
-        self._fb_mask = taps & ((1 << degree) - 1)
 
     def generate(self, n: int) -> np.ndarray:
-        """Emit the next ``n`` bits, advancing the register.
-
-        The feedback for the next ``degree - max_tap`` bits reads only bits
-        already in the register, so the register advances a whole word of
-        that many bits per step instead of one bit at a time.
-        """
+        """Emit the next ``n`` bits, advancing the register a word at a time;
+        the register LSB is the output bit."""
         if n < 0:
             raise ValueError("bit count must be non-negative")
-        r = self.degree
-        mask = self._fb_mask
-        width = min(r - (mask.bit_length() - 1), 64)
-        shifts = [p for p in range(1, r) if (mask >> p) & 1]
         state = self.state
         words = []
-        for step in [width] * (n // width) + [n % width]:
-            fb = state
-            for p in shifts:
-                fb ^= state >> p
+        for step in [PRBS_WORD] * (n // PRBS_WORD) + [n % PRBS_WORD]:
+            fb = state ^ (state >> PRBS_TAP)
             words.append(state & ((1 << step) - 1))
-            state = (state >> step) | ((fb & ((1 << step) - 1)) << (r - step))
+            state = (state >> step) | ((fb & ((1 << step) - 1)) << (PRBS_DEGREE - step))
         self.state = state
-        packed = np.array(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
-        bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :width]
+        packed = np.array(words, dtype=np.uint8)[:, None]
+        bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :PRBS_WORD]
         return bits.reshape(-1)[:n]
 
 
-@dataclass(frozen=True)
-class SpreadingCode:
-    """8-chip spreading signature; one payload bit becomes 8 chips."""
-
-    chips: tuple[int, ...] = (1, 0, 1, 1, 0, 0, 1, 0)
-
-    def __post_init__(self):
-        if len(self.chips) != 8:
-            raise ValueError(f"spreading code must have 8 chips, got {len(self.chips)}")
-        if any(c not in (0, 1) for c in self.chips):
-            raise ValueError("spreading chips must be 0/1")
-        if len(set(self.chips)) < 2:
-            raise ValueError("all-equal spreading code makes despreading degenerate")
-
-    @property
-    def factor(self) -> int:
-        return len(self.chips)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.chips, dtype=np.uint8)
-
-
-def spread(data: np.ndarray, code: SpreadingCode) -> np.ndarray:
+def spread(data: np.ndarray) -> np.ndarray:
     """XOR each data bit with the chip sequence: output is 8x longer."""
     data = np.asarray(data, dtype=np.uint8)
-    chips = data[..., :, None] ^ code.as_array()
-    return chips.reshape(data.shape[:-1] + (data.shape[-1] * code.factor,))
+    chips = data[..., :, None] ^ CHIPS
+    return chips.reshape(data.shape[:-1] + (data.shape[-1] * CHIPS.size,))
 
 
-def despread(chips: np.ndarray, code: SpreadingCode) -> np.ndarray:
+def despread(chips: np.ndarray) -> np.ndarray:
     """Majority-vote 8 chips back into one bit.
 
     A 4/4 tie resolves to 0, so a bit decision flips only when 5 or more of
     its chips are corrupted.
     """
     chips = np.asarray(chips, dtype=np.uint8)
-    sf = code.factor
+    sf = CHIPS.size
     if chips.shape[-1] % sf:
         raise FramingError(
             f"chip count {chips.shape[-1]} is not a multiple of the spreading factor {sf}"
         )
-    blocks = chips.reshape(chips.shape[:-1] + (-1, sf)) ^ code.as_array()
+    blocks = chips.reshape(chips.shape[:-1] + (-1, sf)) ^ CHIPS
     votes = blocks.sum(axis=-1, dtype=np.int16)
     return (votes > sf // 2).astype(np.uint8)
 
 
-#: Largest constraint length a ``ConvCode`` accepts, the largest in common
-#: use.  The decoder keeps decisions for all 2^(K-1) states at every step,
-#: so at K = 16 one 10,000-bit chunk asks for a 5 GiB array.
-MAX_CONSTRAINT_LENGTH = 9
-
-
-@dataclass(frozen=True)
-class ConvCode:
-    """Rate-1/2 feedforward convolutional code with zero-flush termination."""
-
-    constraint_length: int = 3
-    generators: tuple[int, int] = (0o7, 0o5)
-
-    def __post_init__(self):
-        # a tuple keeps the code hashable: decoder tables are cached per code
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if len(self.generators) != 2:
-            raise ValueError("rate-1/2 code needs exactly two generators")
-        k = self.constraint_length
-        if not 2 <= k <= MAX_CONSTRAINT_LENGTH:
-            raise ValueError(f"constraint length must be 2 to {MAX_CONSTRAINT_LENGTH}")
-        for g in self.generators:
-            if not 0 < g < (1 << k):
-                raise ValueError(f"generator {g:#o} does not fit in {k} taps")
-            if not g & 1:
-                raise ValueError(f"generator {g:#o} must tap the newest bit")
-
-    @property
-    def n_states(self) -> int:
-        return 1 << (self.constraint_length - 1)
-
-
-def conv_encode(data: np.ndarray, code: ConvCode = ConvCode()) -> np.ndarray:
+def conv_encode(data: np.ndarray) -> np.ndarray:
     """Encode with K-1 zero tail bits; output length is 2*(len + K - 1).
 
     Output bit pairs are (g0, g1) per input step.  The register starts
@@ -156,13 +93,13 @@ def conv_encode(data: np.ndarray, code: ConvCode = ConvCode()) -> np.ndarray:
     terminated trellis.
     """
     data = np.asarray(data, dtype=np.uint8)
-    k = code.constraint_length
+    k = CONSTRAINT_LENGTH
     n_steps = data.shape[-1] + k - 1
     # window w_n = (u[n-K+1] .. u[n]); generator bit p taps u[n-p]
     padded = np.zeros(data.shape[:-1] + (n_steps + k - 1,), dtype=np.uint8)
     padded[..., k - 1 : k - 1 + data.shape[-1]] = data
     streams = []
-    for g in code.generators:
+    for g in GENERATORS:
         acc = np.zeros(data.shape[:-1] + (n_steps,), dtype=np.uint8)
         for p in range(k):
             if (g >> p) & 1:
@@ -172,9 +109,8 @@ def conv_encode(data: np.ndarray, code: ConvCode = ConvCode()) -> np.ndarray:
     return out.reshape(data.shape[:-1] + (2 * n_steps,))
 
 
-@functools.lru_cache(maxsize=None)
-def _branch_metrics(code: ConvCode) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only branch-metric tables of one code, laid out for butterflies.
+def _branch_metrics() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only branch-metric tables of the code, laid out for butterflies.
 
     State s holds the K-1 newest input bits, newest in the LSB.  Its two
     predecessors are ``(s >> 1) + j * n_states/2`` for branch j = 0, 1, so
@@ -189,13 +125,13 @@ def _branch_metrics(code: ConvCode) -> tuple[np.ndarray, np.ndarray]:
     * ``bm2``, shape (2, 2, n_u, n_v, 16): ``[j0, j1, s'' // n_v, s'' % n_v, r2]``
       with n_v = min(n_states, 4), the metric of both steps together.
     """
-    k = code.constraint_length
-    n = code.n_states
+    k = CONSTRAINT_LENGTH
+    n = N_STATES
     s = np.arange(n)
     prev = (s >> 1) | (np.arange(2)[:, None] << (k - 2))       # [j, s]
     window = (prev << 1) | (s & 1)
     outs = [np.array([(int(w) & g).bit_count() & 1 for w in window.ravel()]).reshape(2, n)
-            for g in code.generators]
+            for g in GENERATORS]
     r = np.arange(4)[:, None, None]
     bm1 = (outs[0] ^ (r >> 1)) + (outs[1] ^ (r & 1))          # [r, j, s]
     # [r_t, r_t+1, j0, j1, s''] = bm_t(s', j0) + bm_t+1(s'', j1)
@@ -208,7 +144,10 @@ def _branch_metrics(code: ConvCode) -> tuple[np.ndarray, np.ndarray]:
     return bm1, bm2
 
 
-def viterbi_decode(coded: np.ndarray, code: ConvCode = ConvCode()) -> np.ndarray:
+_BM1, _BM2 = _branch_metrics()
+
+
+def viterbi_decode(coded: np.ndarray) -> np.ndarray:
     """Minimum-Hamming-distance sequence decoder for a zero-flushed stream.
 
     Accepts a single stream or a batch ``(n_frames, n_coded)``; every frame
@@ -222,17 +161,16 @@ def viterbi_decode(coded: np.ndarray, code: ConvCode = ConvCode()) -> np.ndarray
     if rx.shape[-1] % 2:
         raise FramingError(f"coded length {rx.shape[-1]} is odd")
     n_steps = rx.shape[-1] // 2
-    k = code.constraint_length
+    k = CONSTRAINT_LENGTH
     if n_steps == 0:
         out = np.zeros(rx.shape[:-1] + (0,), dtype=np.uint8)
         return out[0] if single else out
     if n_steps < k - 1:
         raise FramingError(f"{n_steps} coded pairs cannot hold a {k - 1}-bit flush tail")
 
-    bm1, bm2 = _branch_metrics(code)
     n_frames = rx.shape[0]
-    n = code.n_states
-    n_u, n_v = bm2.shape[2:4]
+    n = N_STATES
+    n_u, n_v = _BM2.shape[2:4]
     odd = n_steps % 2
     n_pairs = n_steps // 2
     r = (rx[:, 0::2] << 1) | rx[:, 1::2]
@@ -243,10 +181,10 @@ def viterbi_decode(coded: np.ndarray, code: ConvCode = ConvCode()) -> np.ndarray
     metric[0] = 0
     if odd:
         # the first step's decisions are never traced back through
-        cand = metric.reshape(2, n // 2, 1, n_frames) + bm1[..., r[:, 0]]
+        cand = metric.reshape(2, n // 2, 1, n_frames) + _BM1[..., r[:, 0]]
         np.minimum(cand[0], cand[1], out=metric.reshape(n // 2, 2, n_frames))
 
-    bm = np.moveaxis(bm2[..., (r[:, odd::2] << 2 | r[:, odd + 1 :: 2]).T], -2, 0)
+    bm = np.moveaxis(_BM2[..., (r[:, odd::2] << 2 | r[:, odd + 1 :: 2]).T], -2, 0)
     dec0 = np.empty((n_pairs, 2, n_u, n_v, n_frames), dtype=bool)
     dec1 = np.empty((n_pairs, n_u, n_v, n_frames), dtype=bool)
     cand = np.empty((2, 2, n_u, n_v, n_frames), dtype=np.int32)

@@ -26,6 +26,12 @@ from .errors import ConfigError
 MAX_SUBCARRIERS = 65_536
 MAX_CHUNK_PAYLOAD_BITS = 250_000
 
+#: Most sweep threads ``validate`` accepts.  The sweep pool starts one thread
+#: per busy grid point, up to ``workers``, and a sweep can have thousands of
+#: points.  This bounds threads, not memory: each in-flight chunk holds its
+#: own arrays, 85 MB for a QPSK chunk at the default size.
+MAX_WORKERS = 64
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -93,6 +99,8 @@ def validate(cfg: SimConfig) -> SimConfig:
         raise ConfigError("max_bits must be >= min_bits")
     if cfg.max_bit_errors < 1 or cfg.workers < 1:
         raise ConfigError("max_bit_errors and workers must be positive")
+    if cfg.workers > MAX_WORKERS:
+        raise ConfigError(f"workers must be at most {MAX_WORKERS}")
     if cfg.frame_payload_bits < 1 or cfg.frames_per_chunk < 1:
         raise ConfigError("chunking sizes must be positive")
     if cfg.chunk_payload_bits > MAX_CHUNK_PAYLOAD_BITS:
@@ -178,6 +186,8 @@ def load_config(path) -> SimConfig:
             key = key.strip()
             if key not in defaults:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
             try:
                 values[key] = _parse_value(key, text, defaults[key])
             except (ValueError, ConfigError) as exc:

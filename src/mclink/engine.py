@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import modem
-from .bits import PRBS23_TAPS, ConvCode, Prbs, SpreadingCode, conv_encode, despread, spread, viterbi_decode
+from .bits import PRBS_DEGREE, Prbs, conv_encode, despread, spread, viterbi_decode
 from .channel import NoiseConfig, apply_channel, complex_normal, draw_channel
 from .config import SimConfig, validate
 from .mimo import build_effective, realzf_detect, stbc_encode, zf_detect
@@ -43,10 +43,6 @@ GRAM_FLOOR = 1e-12
 #: 256-512 KiB each, so its working set stays near a 2 MiB per-core L2 cache.
 #: A tile holds whole slot pairs, at least one.
 TILE_BLOCKS = 2048
-
-#: The chain's fixed bit stages: the 8-chip signature and the K=3 (7,5) code.
-SPREADING_CODE = SpreadingCode()
-CONV_CODE = ConvCode()
 
 
 def _chunk_seed(seed: int, modulation: str, snr_db: float, chunk: int) -> np.random.SeedSequence:
@@ -133,12 +129,12 @@ def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tu
     c = modem.get_constellation(modulation)
     rng = np.random.default_rng(_chunk_seed(cfg.seed, c.name, snr_db, chunk))
 
-    source = Prbs(PRBS23_TAPS, int(rng.integers(1, 1 << 23)))
+    source = Prbs(int(rng.integers(1, 1 << PRBS_DEGREE)))
     payload = source.generate(cfg.frames_per_chunk * cfg.frame_payload_bits)
     payload = payload.reshape(cfg.frames_per_chunk, cfg.frame_payload_bits)
 
-    tx_bits = spread(payload, SPREADING_CODE) if cfg.spreading else payload
-    coded = conv_encode(tx_bits, CONV_CODE) if cfg.fec else tx_bits
+    tx_bits = spread(payload) if cfg.spreading else payload
+    coded = conv_encode(tx_bits) if cfg.fec else tx_bits
     coded_len = coded.shape[-1]
     pad = (-coded_len) % c.bits_per_symbol
     if pad:
@@ -153,8 +149,8 @@ def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tu
 
     est_stream = est.reshape(-1)[: stream.size].reshape(symbols.shape)
     rx_coded = modem.demap_symbols(est_stream, c)[..., :coded_len]
-    rx_bits = viterbi_decode(rx_coded, CONV_CODE) if cfg.fec else rx_coded
-    rx_payload = despread(rx_bits, SPREADING_CODE) if cfg.spreading else rx_bits
+    rx_bits = viterbi_decode(rx_coded) if cfg.fec else rx_coded
+    rx_payload = despread(rx_bits) if cfg.spreading else rx_bits
 
     errors = int(np.count_nonzero(rx_payload != payload))
     return payload.size, errors, redraws
@@ -182,8 +178,6 @@ def sweep(cfg: SimConfig) -> list[BerRecord]:
     """Every modulation at every grid SNR, in deterministic row order."""
     cfg = validate(cfg)
     points = [(mod, snr) for mod in cfg.modulations for snr in cfg.snr_grid_db]
-    if cfg.workers == 1:
-        return [run_chain(cfg, mod, snr) for mod, snr in points]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         return list(pool.map(lambda p: run_chain(cfg, p[0], p[1]), points))
 

@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from mclink import SimConfig, fast_profile, run_chain, sweep
-from mclink.bits import ConvCode, conv_encode, viterbi_decode
+from mclink.bits import conv_encode, viterbi_decode
 from mclink.channel import NoiseConfig, complex_normal
 from mclink.engine import compute_gains, emit_results
 from mclink.mimo import alamouti_effective, build_effective, realzf_detect, zf_detect, zf_weights
 from mclink import modem
 
-CONV = ConvCode(3, (0o7, 0o5))
 ORDERED_MODS = ("qpsk", "8qam", "8psk", "16qam", "32qam", "64qam")
 
 
@@ -132,7 +131,7 @@ def test_criterion_05_viterbi_nearest_codeword():
         values = np.arange(2**n_data, dtype=np.int64)
         shifts = np.arange(n_data - 1, -1, -1, dtype=np.int64)
         data = ((values[:, None] >> shifts) & 1).astype(np.uint8).reshape(len(values), n_data)
-        book = conv_encode(data, CONV)
+        book = conv_encode(data)
         weights = (1 << np.arange(n_coded, dtype=np.int64))
         book_packed = (book.astype(np.int64) * weights).sum(axis=1)
 
@@ -143,7 +142,7 @@ def test_criterion_05_viterbi_nearest_codeword():
             rx[rows + 1 + pos, pos] ^= 1
         rx_packed = (rx.astype(np.int64) * weights).sum(axis=1)
 
-        decoded = viterbi_decode(rx, CONV)
+        decoded = viterbi_decode(rx)
 
         chunk = 8192
         for start in range(0, len(rx_packed), chunk):

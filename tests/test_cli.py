@@ -59,6 +59,9 @@ def test_config_file_errors(tmp_path):
         bad.write_text(line + "\n")
         with pytest.raises(ConfigError, match=f"unknown key '{line.split()[0]}'"):
             load_config(bad)
+    bad.write_text("seed = 1\nseed = 2\n")
+    with pytest.raises(ConfigError, match=r":2: repeated key 'seed'"):
+        load_config(bad)
     bad.write_text("min_bits = lots\n")
     with pytest.raises(ConfigError):
         load_config(bad)
@@ -213,6 +216,9 @@ def test_unknown_gain_reference_fails_before_the_sweep(tmp_path, capsys):
     # just past the memory caps, so a missing cap runs a sweep that fits
     "n_subcarriers = 65537",
     "frames_per_chunk = 2501",  # 250,100 bits in 100-bit frames
+    # just past the thread cap; the tiny grid has two points, so a missing
+    # cap starts two threads, not 65
+    "workers = 65",
     # no gain can be read at NaN: the sweep ran and wrote a header-only gains.csv
     "gain_at_snr_db = nan",
 ])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mclink import SimConfig, fast_profile, run_chain, sweep
-from mclink.config import MAX_CHUNK_PAYLOAD_BITS, MAX_SUBCARRIERS, validate
+from mclink.config import MAX_CHUNK_PAYLOAD_BITS, MAX_SUBCARRIERS, MAX_WORKERS, validate
 from mclink.engine import compute_gains, effective_es_n0_db, emit_results
 from mclink.errors import ConfigError
 from mclink import modem
@@ -49,6 +49,7 @@ class TestConfig:
             dict(max_bits=5_000, min_bits=10_000),
             dict(n_rx=5),
             dict(workers=0),
+            dict(workers=MAX_WORKERS + 1),
             dict(seed=-1),
             dict(gain_at_snr_db=math.nan),
             dict(gain_reference="128qam"),
@@ -64,6 +65,7 @@ class TestConfig:
         assert validate(SimConfig(n_subcarriers=MAX_SUBCARRIERS)).n_subcarriers == 65_536
         cfg = validate(SimConfig(frame_payload_bits=200, frames_per_chunk=1250))
         assert cfg.chunk_payload_bits == MAX_CHUNK_PAYLOAD_BITS == 250_000
+        assert validate(SimConfig(workers=MAX_WORKERS)).workers == 64
 
     def test_snr_grid_rejects_nan_and_minus_inf_keeps_plus_inf(self):
         for grid in ((math.nan,), (-5.0, math.nan), (-math.inf, 0.0)):
