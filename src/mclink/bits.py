@@ -1,7 +1,13 @@
 """Bit-level stages of the chain, each fixed: the PRBS-23 message source
 (x^23 + x^18 + 1), 8-chip direct-sequence spreading with the signature
 10110010, and the K=3 rate-1/2 convolutional code with octal generators
-(7, 5), zero-flushed, with its Viterbi decoder.
+(7, 5), zero-flushed, with its hard-decision Viterbi decoder.
+
+The decoder is table-driven.  Its path metrics less their minimum take 39
+values, the nodes of a finite machine (Forney, Proc. IEEE 61(3), 1973), so
+every add-compare-select step, a tie keeping the lower-indexed predecessor,
+is worked out at import; a decode reads four trellis steps per table lookup
+going forward and four per lookup tracing back.
 
 Bit streams are numpy uint8 arrays of 0/1 values.  Every function accepts a
 trailing-axis layout, so a batch of frames can be processed as a 2-D array
@@ -109,42 +115,69 @@ def conv_encode(data: np.ndarray) -> np.ndarray:
     return out.reshape(data.shape[:-1] + (2 * n_steps,))
 
 
-def _branch_metrics() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only branch-metric tables of the code, laid out for butterflies.
+def _decoder_tables() -> tuple[np.ndarray, ...]:
+    """Read-only tables of every add-compare-select (ACS) step.
 
-    State s holds the K-1 newest input bits, newest in the LSB.  Its two
-    predecessors are ``(s >> 1) + j * n_states/2`` for branch j = 0, 1, so
-    metrics viewed as ``(2, n_states/2)`` are indexed ``[j, s >> 1]`` and the
-    new metrics, viewed as ``(n_states/2, 2)``, ``[s >> 1, s & 1]``.  Steps t
-    and t+1 form one radix-4 step: state s'' after t+1 is reached through
-    s' = (s'' >> 1) + j1 * n_states/2 from p = (s' >> 1) + j0 * n_states/2.
-    A received bit pair is coded r = 2*r0 + r1, a pair of pairs
-    r2 = 4*r_t + r_t+1.  Returns
+    State s holds the K-1 newest input bits, newest in the LSB; its
+    predecessors are ``(s >> 1) | (j << (K - 2))`` for j = 0, 1, and a step
+    picks j = 1 only when that path's metric is strictly smaller.  Node 0 is
+    the decoder's start ``[0, 2^24, 2^24, 2^24]``; subtracting the minimum
+    changes no comparison, so the tables hold the exact decisions.  A
+    received pair is r = 2*r0 + r1, four pairs r4 = 64 r_t + 16 r_t+1 +
+    4 r_t+2 + r_t+3, the byte ``np.packbits`` makes of their 8 bits.  Returns
 
-    * ``bm1``, shape (2, n_states/2, 2, 4): ``[j, s >> 1, s & 1, r]``;
-    * ``bm2``, shape (2, 2, n_u, n_v, 16): ``[j0, j1, s'' // n_v, s'' % n_v, r2]``
-      with n_v = min(n_states, 4), the metric of both steps together.
+    * ``metrics``, shape (n_nodes, n_states): each node's metric vector;
+    * ``next1``, ``dec1``, shape (4, n_nodes): ``[r, node]`` -> the node one
+      step later and that step's decisions, bit s the j state s chose;
+    * ``next4``, ``dec4``, shape (256, n_nodes): ``[r4, node]`` -> the node
+      four steps later and their decisions, the first step's in the top bits;
+    * ``back4``, shape (2^16, n_states): ``[dec4 word, state]`` -> the state
+      four steps before, on the path that ends in ``state``;
+    * ``bits4``, shape (256, n_states, 4): ``[word & 255, state]`` -> that
+      path's four input bits, which the last two steps' decisions fix.
     """
-    k = CONSTRAINT_LENGTH
-    n = N_STATES
-    s = np.arange(n)
-    prev = (s >> 1) | (np.arange(2)[:, None] << (k - 2))       # [j, s]
-    window = (prev << 1) | (s & 1)
-    outs = [np.array([(int(w) & g).bit_count() & 1 for w in window.ravel()]).reshape(2, n)
-            for g in GENERATORS]
+    s = np.arange(N_STATES)
+    prev = (s >> 1) | (np.arange(2)[:, None] << (CONSTRAINT_LENGTH - 2))  # [j, s]
+    outs = [np.bitwise_count(((prev << 1) | (s & 1)) & g) & 1 for g in GENERATORS]
     r = np.arange(4)[:, None, None]
-    bm1 = (outs[0] ^ (r >> 1)) + (outs[1] ^ (r & 1))          # [r, j, s]
-    # [r_t, r_t+1, j0, j1, s''] = bm_t(s', j0) + bm_t+1(s'', j1)
-    bm2 = bm1[:, None, :, prev] + bm1[None, :, None, :, :]
-    n_v = min(n, 4)
-    bm1 = np.moveaxis(bm1, 0, -1).reshape(2, n // 2, 2, 4).astype(np.uint8)
-    bm2 = np.moveaxis(bm2.reshape(16, 2, 2, n // n_v, n_v), 0, -1).astype(np.uint8)
-    bm1.flags.writeable = False
-    bm2.flags.writeable = False
-    return bm1, bm2
+    bm = (outs[0] ^ (r >> 1)) + (outs[1] ^ (r & 1))                      # [r, j, s]
+
+    # breadth first, numbering nodes as found, so rows come out in node order
+    nodes = {(0,) + (1 << 24,) * (N_STATES - 1): 0}
+    level, next1, dec1 = list(nodes), [], []
+    while level:
+        cand = np.array(level)[:, None, prev] + bm                     # [v, r, j, s]
+        dec1.append(((cand[:, :, 1] < cand[:, :, 0]) << s).sum(axis=-1))
+        best = cand.min(axis=2)
+        best -= best.min(axis=-1, keepdims=True)
+        found = len(nodes)
+        rows = map(tuple, best.reshape(-1, N_STATES).tolist())
+        next1 += [nodes.setdefault(v, len(nodes)) for v in rows]
+        level = list(nodes)[found:]
+    n, next1 = len(nodes), np.array(next1, dtype=np.intp).reshape(-1, 4)
+    dec1 = np.concatenate(dec1)
+    node, dec4 = np.arange(n), np.zeros(n, dtype=np.intp)
+    for _ in range(4):                                 # axes [node, r_t, .., r_t+3]
+        dec4 = (dec4 << 4)[..., None] | dec1[node]
+        node = next1[node]
+
+    # one step back: pred[s, decisions]; two: the later step in the low 4 bits
+    pred = (s[:, None] >> 1) | (((np.arange(16) >> s[:, None]) & 1) << (CONSTRAINT_LENGTH - 2))
+    byte = np.arange(256)
+    pred2 = pred[pred[:, byte & 15], byte >> 4].T.astype(np.uint8)      # [byte, s]
+    back4 = pred2[:, pred2]                                             # [high, low, s]
+    # a state holds its last two input bits, pred2[low byte, s] the two before
+    held = ((s[:, None] >> [1, 0]) & 1).astype(np.uint8)                # [s, bit]
+    bits4 = np.concatenate([held[pred2], np.broadcast_to(held, (256, N_STATES, 2))], axis=-1)
+    tables = [np.array(list(nodes)), next1.T, dec1.T, node.reshape(n, 256).T,
+              dec4.reshape(n, 256).T, back4.reshape(-1, N_STATES), bits4]
+    for i, t in enumerate(tables):
+        tables[i] = t = np.ascontiguousarray(t)
+        t.flags.writeable = False
+    return tuple(tables)
 
 
-_BM1, _BM2 = _branch_metrics()
+_METRICS, _NEXT1, _DEC1, _NEXT4, _DEC4, _BACK4, _BITS4 = _decoder_tables()
 
 
 def viterbi_decode(coded: np.ndarray) -> np.ndarray:
@@ -152,8 +185,8 @@ def viterbi_decode(coded: np.ndarray) -> np.ndarray:
 
     Accepts a single stream or a batch ``(n_frames, n_coded)``; every frame
     must have the same length.  Metric ties prefer the lower-indexed
-    predecessor state, which makes the decoder deterministic.  Steps are
-    taken two at a time (radix 4); an odd first step is taken alone.
+    predecessor state, which makes the decoder deterministic.  The first
+    ``n_steps % 4`` steps read the one-step tables, the rest four at a time.
     """
     coded = np.asarray(coded, dtype=np.uint8)
     single = coded.ndim == 1
@@ -168,64 +201,31 @@ def viterbi_decode(coded: np.ndarray) -> np.ndarray:
     if n_steps < k - 1:
         raise FramingError(f"{n_steps} coded pairs cannot hold a {k - 1}-bit flush tail")
 
-    n_frames = rx.shape[0]
-    n = N_STATES
-    n_u, n_v = _BM2.shape[2:4]
-    odd = n_steps % 2
-    n_pairs = n_steps // 2
-    r = (rx[:, 0::2] << 1) | rx[:, 1::2]
+    # Flat table indices, r * n_nodes + node forward and word * n_states + state
+    # back, are in range by construction: mode="clip" writes to out unbuffered.
+    n_frames, n_nodes = rx.shape[0], _METRICS.shape[0]
+    lead, n_blocks = n_steps % 4, n_steps // 4
+    node, lead_dec = np.zeros(n_frames, dtype=np.intp), []
+    for t in range(lead):
+        at = node + n_nodes * (2 * rx[:, 2 * t] + rx[:, 2 * t + 1])
+        lead_dec.append(_DEC1.take(at))
+        node = _NEXT1.take(at)
+    at = np.packbits(rx[:, 2 * lead :].T, axis=0) * np.intp(n_nodes)
+    for row in at:
+        row += node
+        _NEXT4.take(row, out=node, mode="clip")
 
-    # metrics and decisions keep the frame axis last, so each ufunc call
-    # below runs contiguous inner loops over all frames
-    metric = np.full((n, n_frames), 1 << 24, dtype=np.int32)
-    metric[0] = 0
-    if odd:
-        # the first step's decisions are never traced back through
-        cand = metric.reshape(2, n // 2, 1, n_frames) + _BM1[..., r[:, 0]]
-        np.minimum(cand[0], cand[1], out=metric.reshape(n // 2, 2, n_frames))
-
-    bm = np.moveaxis(_BM2[..., (r[:, odd::2] << 2 | r[:, odd + 1 :: 2]).T], -2, 0)
-    dec0 = np.empty((n_pairs, 2, n_u, n_v, n_frames), dtype=bool)
-    dec1 = np.empty((n_pairs, n_u, n_v, n_frames), dtype=bool)
-    cand = np.empty((2, 2, n_u, n_v, n_frames), dtype=np.int32)
-    best = np.empty((2, n_u, n_v, n_frames), dtype=np.int32)
-    m_in = metric.reshape(2, n // (2 * n_u), n_u, 1, n_frames)
-    m_out = metric.reshape(n_u, n_v, n_frames)
-    for i in range(n_pairs):
-        np.add(m_in, bm[i], out=cand)
-        np.less(cand[1], cand[0], out=dec0[i])
-        np.minimum(cand[0], cand[1], out=best)
-        np.less(best[1], best[0], out=dec1[i])
-        np.minimum(best[0], best[1], out=m_out)
-
-    # Trace back two steps at a time through flat indices state * n_frames +
-    # frame, starting from the all-zero state the flush tail leaves.  State
-    # s'' came from p = (s'' >> 2) + j1 * n_states/4 + j0 * n_states/2, where
-    # j0 is the step-t decision of the s' that s'' chose with j1.
-    j1 = dec1.reshape(n_pairs, n, n_frames)
-    j0 = dec0.reshape(n_pairs, 2, n, n_frames)
-    j0 = (j0[:, 1] & j1) | (j0[:, 0] & ~j1)
-    frames = np.arange(n_frames, dtype=np.int32)
-    links = j0.astype(np.int32)
-    links *= (n // 2) * n_frames
-    step = j1.astype(np.int32)
-    step *= (n // 4) * n_frames
-    links += step
-    links += (np.arange(n, dtype=np.int32)[:, None] >> 2) * n_frames + frames
-    flat = frames
-    ends = np.empty((n_pairs, n_frames), dtype=np.int32)
-    for i in range(n_pairs - 1, -1, -1):
-        ends[i] = flat
-        flat = links[i].take(flat)
-    via = np.take_along_axis(j1.reshape(n_pairs, n * n_frames), ends, axis=1)
-    ends //= n_frames
-
-    # the state after each step holds that step's input bit in its LSB; the
-    # state after step t of a pair is s' = (s'' >> 1) | (j1 << (k - 2))
+    back = _DEC4.take(at) * N_STATES
+    state = np.zeros(n_frames, dtype=np.uint8)  # where the flush tail ends
+    for row in back[::-1]:
+        row += state
+        _BACK4.take(row, out=state, mode="clip")
     bits = np.empty((n_frames, n_steps), dtype=np.uint8)
-    if odd:
-        bits[:, 0] = (flat // n_frames) & 1
-    bits[:, odd::2] = (((ends >> 1) | (via << (k - 2))) & 1).T
-    bits[:, odd + 1 :: 2] = (ends & 1).T
+    blocks = np.take(_BITS4.reshape(-1, 4), back.T & (_BITS4.shape[0] * N_STATES - 1), axis=0)
+    bits[:, lead:] = blocks.reshape(n_frames, 4 * n_blocks)
+    # the state after each step holds that step's input bit in its LSB
+    for t in range(lead - 1, -1, -1):
+        bits[:, t] = state & 1
+        state = (state >> 1) | ((lead_dec[t] >> state) & 1) << (k - 2)
     data = bits[:, : n_steps - (k - 1)]
     return data[0] if single else data

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import sys
 import time
+from pathlib import Path
 
 from . import __version__
 from .config import SimConfig, load_config, parse_snr_grid, validate
@@ -52,6 +53,10 @@ def _configure(args) -> SimConfig:
 
 def _run_sweep(args) -> int:
     cfg = _configure(args)
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: cannot use as the output directory: {exc}") from exc
     start = time.perf_counter()
     records = sweep(cfg)
     wall = time.perf_counter() - start
@@ -78,7 +83,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _run_sweep(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

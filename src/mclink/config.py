@@ -175,21 +175,25 @@ def load_config(path) -> SimConfig:
     """Read flat key=value text; unset fields keep the package defaults."""
     defaults = dataclasses.asdict(SimConfig())
     values = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in defaults:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
-            try:
-                values[key] = _parse_value(key, text, defaults[key])
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        if key not in defaults:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
+        try:
+            values[key] = _parse_value(key, text, defaults[key])
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return validate(SimConfig(**values))

@@ -67,11 +67,10 @@ def lfsr_bitserial(state: int, n: int) -> tuple[np.ndarray, int]:
     return out, state
 
 
-def viterbi_radix2(coded: np.ndarray) -> np.ndarray:
-    """One trellis step per iteration with a gathered add-compare-select."""
-    rx = np.atleast_2d(np.asarray(coded, dtype=np.uint8))
+def trellis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``pred[s, j]``, the j-th predecessor of state s, and the two code bits
+    ``out0[s, j]``, ``out1[s, j]`` on that branch."""
     n_states = 1 << (K - 1)
-    n_steps = rx.shape[-1] // 2
     pred = np.empty((n_states, 2), dtype=np.intp)
     out0 = np.empty((n_states, 2), dtype=np.uint8)
     out1 = np.empty((n_states, 2), dtype=np.uint8)
@@ -83,6 +82,24 @@ def viterbi_radix2(coded: np.ndarray) -> np.ndarray:
             pred[s_next, j] = s_prev
             out0[s_next, j] = (w & g0).bit_count() & 1
             out1[s_next, j] = (w & g1).bit_count() & 1
+    return pred, out0, out1
+
+
+def acs_step(metric: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """One add-compare-select step on received pair r = 2*r0 + r1: the new
+    metrics and, per state, whether it chose predecessor 1 (strictly better)."""
+    pred, out0, out1 = trellis()
+    cand = metric[..., pred] + (out0 ^ (r >> 1)) + (out1 ^ (r & 1))
+    take1 = cand[..., 1] < cand[..., 0]
+    return np.where(take1, cand[..., 1], cand[..., 0]), take1
+
+
+def viterbi_radix2(coded: np.ndarray) -> np.ndarray:
+    """One trellis step per iteration with a gathered add-compare-select."""
+    rx = np.atleast_2d(np.asarray(coded, dtype=np.uint8))
+    n_states = 1 << (K - 1)
+    n_steps = rx.shape[-1] // 2
+    pred, out0, out1 = trellis()
     metric = np.full((rx.shape[0], n_states), 1 << 24, dtype=np.int32)
     metric[:, 0] = 0
     back = np.empty((rx.shape[0], n_steps, n_states), dtype=np.uint8)
@@ -280,20 +297,82 @@ class TestViterbi:
             assert value == best
 
     def test_matches_radix2_reference(self):
-        """Random and p=0.5 (tie-heavy) inputs, odd and even step counts,
+        """Error-free, noisy and p=0.5 (tie-heavy) inputs; step counts with
+        every remainder mod 4, up to the engine's 125 frames x 1,602 steps;
         single frames and batches."""
         rng = np.random.default_rng(K)
-        for n_steps in list(range(K - 1, K + 8)) + [64, 101]:
-            for flip in (0.5, 0.08):
-                for n_frames in (1, 5):
-                    data = rng.integers(0, 2, (n_frames, n_steps - (K - 1)), dtype=np.uint8)
-                    coded = conv_encode(data)
-                    noisy = coded ^ (rng.random(coded.shape) < flip).astype(np.uint8)
-                    out = viterbi_decode(noisy)
-                    assert np.array_equal(out, viterbi_radix2(noisy)), (n_steps, flip)
-                    single = viterbi_decode(noisy[0])
-                    assert single.shape == (n_steps - (K - 1),)
-                    assert np.array_equal(single, viterbi_radix2(noisy[0]))
+        shapes = [(n_frames, n_steps)
+                  for n_steps in list(range(K - 1, K + 9)) + [64, 101, 1602, 1603]
+                  for n_frames in (1, 5)] + [(125, 1602)]
+        for n_frames, n_steps in shapes:
+            for flip in (0.0, 0.5, 0.08):
+                data = rng.integers(0, 2, (n_frames, n_steps - (K - 1)), dtype=np.uint8)
+                coded = conv_encode(data)
+                noisy = coded ^ (rng.random(coded.shape) < flip).astype(np.uint8)
+                out = viterbi_decode(noisy)
+                assert np.array_equal(out, viterbi_radix2(noisy)), (n_frames, n_steps, flip)
+                if flip == 0.0:
+                    assert np.array_equal(out, data)
+                single = viterbi_decode(noisy[0])
+                assert single.shape == (n_steps - (K - 1),)
+                assert np.array_equal(single, out[0])
+
+    def test_tables_are_acs_steps(self):
+        """The decoder's tables against first principles: the metric nodes
+        are exactly the normalised vectors one ACS step at a time reaches from
+        [0, 2^24, ..], each one-step row is that step, the four-step rows are
+        four one-step lookups, the traceback rows follow the decisions back,
+        and no table can be written."""
+        from mclink import bits
+
+        n_states = 1 << (K - 1)
+        start = (0,) + (1 << 24,) * (n_states - 1)
+        reached, todo = {start}, [start]
+        while todo:
+            metric = np.array(todo.pop())
+            for r in range(4):
+                new = acs_step(metric, r)[0]
+                new = tuple((new - new.min()).tolist())
+                if new not in reached:
+                    reached.add(new)
+                    todo.append(new)
+        metrics = bits._METRICS
+        assert tuple(metrics[0].tolist()) == start
+        assert {tuple(m) for m in metrics.tolist()} == reached and len(metrics) == len(reached)
+        assert len(reached) == 39  # the count the bits docstring states
+
+        n = len(metrics)
+        for node in range(n):
+            for r in range(4):
+                new, take1 = acs_step(metrics[node], r)
+                assert metrics[bits._NEXT1[r, node]].tolist() == (new - new.min()).tolist()
+                assert bits._DEC1[r, node] == sum(int(t) << s for s, t in enumerate(take1))
+
+        for r4 in range(256):
+            node, word = np.arange(n), np.zeros(n, dtype=np.int64)
+            for r in ((r4 >> 6) & 3, (r4 >> 4) & 3, (r4 >> 2) & 3, r4 & 3):
+                word = (word << 4) | bits._DEC1[r, node]
+                node = bits._NEXT1[r, node]
+            assert np.array_equal(bits._NEXT4[r4], node), r4
+            assert np.array_equal(bits._DEC4[r4], word), r4
+
+        pred, _, _ = trellis()
+        words = np.arange(1 << 16)[:, None]
+        state = np.broadcast_to(np.arange(n_states), (1 << 16, n_states))
+        held = []
+        for step in (3, 2, 1, 0):  # the first step's decisions sit in the top 4 bits
+            held.insert(0, state & 1)
+            state = pred[state, (words >> (4 * (3 - step) + state)) & 1]
+        assert np.array_equal(bits._BACK4, state)
+        low_byte = bits._BITS4[words & 255, np.arange(n_states)]
+        assert np.array_equal(low_byte, np.stack(held, axis=-1))
+
+        tables = [bits._METRICS, bits._NEXT1, bits._DEC1, bits._NEXT4, bits._DEC4,
+                  bits._BACK4, bits._BITS4]
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table.flat[0] = 0
 
     def test_batch_equals_rowwise(self):
         rng = np.random.default_rng(9)

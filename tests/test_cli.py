@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -131,13 +132,40 @@ def test_cli_bad_flag_value_exit_code(tmp_path, capsys):
 
 
 def test_cli_runtime_error_exit_code(tmp_path, capsys):
+    # a directory where ber.csv goes is only found when the results are written
     cfg_path = tmp_path / "sim.cfg"
     write_tiny_config(cfg_path)
-    blocker = tmp_path / "occupied"
-    blocker.write_text("x")
-    code = main(["sweep", "--config", str(cfg_path), "--out", str(blocker / "sub")])
+    (tmp_path / "out" / "ber.csv").mkdir(parents=True)
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):
+    undecodable = tmp_path / "latin.cfg"
+    undecodable.write_bytes(b"seed = 1\n\xff\n")
+    out = tmp_path / "out"
+    for path in (tmp_path, undecodable, tmp_path / "missing.cfg"):
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_config(path)
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert f"config error: {path}: cannot read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unusable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def entered(cfg):
+        raise AssertionError("sweep entered")
+
+    monkeypatch.setattr("mclink.cli.sweep", entered)
+    cfg_path = tmp_path / "sim.cfg"
+    write_tiny_config(cfg_path)
+    occupied = tmp_path / "occupied"
+    occupied.write_text("x")
+    for out in (occupied, occupied / "sub"):
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"config error: --out {out}" in capsys.readouterr().err
+    assert occupied.read_text() == "x"
 
 
 def test_cli_runtime_error_without_message_is_named(tmp_path, capsys, monkeypatch):
