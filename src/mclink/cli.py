@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import SimConfig, load_config, parse_snr_grid, validate
-from .engine import compute_gains, emit_results, sweep
+from .engine import OUTPUT_FILES, compute_gains, emit_results, sweep
 from .errors import ConfigError
 
 
@@ -53,15 +53,19 @@ def _configure(args) -> SimConfig:
 
 def _run_sweep(args) -> int:
     cfg = _configure(args)
+    out = Path(args.out)
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"--out {args.out}: cannot use as the output directory: {exc}") from exc
+        raise ConfigError(f"--out {out}: cannot use as the output directory: {exc}") from exc
+    for name in OUTPUT_FILES.values():
+        if (out / name).is_dir():
+            raise ConfigError(f"--out {out}: {name} is a directory and cannot be replaced")
     start = time.perf_counter()
     records = sweep(cfg)
     wall = time.perf_counter() - start
     gains = compute_gains(records, cfg)
-    paths = emit_results(records, gains, cfg, args.out, wall)
+    paths = emit_results(records, gains, cfg, out, wall)
     for r in records:
         print(
             f"{r.modulation:>6s} @ {r.snr_db:+6.1f} dB: "

@@ -31,7 +31,7 @@ from .bits import PRBS_DEGREE, Prbs, conv_encode, despread, spread, viterbi_deco
 from .channel import NoiseConfig, apply_channel, complex_normal, draw_channel
 from .config import SimConfig, validate
 from .mimo import build_effective, realzf_detect, stbc_encode, zf_detect
-from .ofdm import OfdmConfig, ofdm_demodulate, ofdm_modulate
+from .ofdm import ofdm_demodulate, ofdm_modulate
 from .results import BerRecord, GainRecord, gain_vs_reference, write_ber_csv, write_gain_csv, write_manifest
 
 #: Blocks whose total channel energy falls below this are redrawn; with
@@ -91,14 +91,13 @@ def _detect_alamouti(cfg: SimConfig, frames: np.ndarray, snr_db: float,
                      rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Frames through STBC, OFDM, fading and linear detection; returns the
     per-slot symbol estimates and the weak-channel redraw count."""
-    ofdm_cfg = OfdmConfig(cfg.n_subcarriers, cfg.cp_len)
     # under split_tx_power each antenna sends half the unit symbol energy
     amp = 1.0 / math.sqrt(2.0)
 
     tx = stbc_encode(frames)
     if cfg.split_tx_power:
         tx *= amp
-    x_freq = ofdm_demodulate(ofdm_modulate(tx, ofdm_cfg), ofdm_cfg)
+    x_freq = ofdm_demodulate(ofdm_modulate(tx, cfg.cp_len), cfg.cp_len)
 
     n_slots, n_sc = frames.shape
     n_pairs = n_slots // 2
@@ -197,6 +196,10 @@ def compute_gains(records: list[BerRecord], cfg: SimConfig) -> list[GainRecord]:
     ]
 
 
+#: The files ``emit_results`` writes into the output directory, by key.
+OUTPUT_FILES = {"ber": "ber.csv", "gains": "gains.csv", "manifest": "manifest.json"}
+
+
 def _write_replacing(write, path: Path) -> None:
     """``write`` a temp file beside ``path`` and rename it over ``path``, so
     a crash leaves the old file or the new one, never part of one."""
@@ -211,11 +214,7 @@ def _write_replacing(write, path: Path) -> None:
 def emit_results(records, gains, cfg: SimConfig, out_dir, wall_time_s: float) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "ber": out / "ber.csv",
-        "gains": out / "gains.csv",
-        "manifest": out / "manifest.json",
-    }
+    paths = {key: out / name for key, name in OUTPUT_FILES.items()}
     _write_replacing(lambda tmp: write_ber_csv(records, tmp), paths["ber"])
     _write_replacing(lambda tmp: write_gain_csv(gains, tmp), paths["gains"])
     diagnostics = {"total_redraws": sum(r.redraws for r in records)}

@@ -2,10 +2,12 @@
 
 Two detectors solve the same per-subcarrier least-squares problem:
 
-* ``zf_detect`` stacks the two received slots (second slot conjugated) into an
-  effective tall complex system and applies the pseudo-inverse weights
+* ``zf_detect`` takes the ``(h_eff, y_eff)`` pair from ``build_effective``:
+  the two received slots (second slot conjugated) stacked into an effective
+  tall complex system y_eff = H_eff a.  It applies the pseudo-inverse weights
   W = (H^H H)^-1 H^H.
-* ``realzf_detect`` rewrites the raw slot equations over the reals, stacking
+* ``realzf_detect`` rewrites the raw slot equations over the reals as the
+  ``(h_hat, y_hat)`` pair from ``real_decomposition``, stacking
   [a1_re, a2_re, a1_im, a2_im], and solves the real normal equations.
 
 They must agree to numerical precision; keeping the constructions independent
@@ -46,22 +48,6 @@ def stbc_encode(frames: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class EffectiveChannel:
-    """Stacked linear model y_eff = H_eff a for one (or a batch of) block."""
-
-    h_eff: np.ndarray  # (..., 2*n_rx, 2)
-    y_eff: np.ndarray  # (..., 2*n_rx)
-
-
-@dataclass
-class RealDecomposition:
-    """Real-valued form of the same block model: y_hat = H_hat u."""
-
-    h_hat: np.ndarray  # (..., 4*n_rx, 4), columns (a1_re, a2_re, a1_im, a2_im)
-    y_hat: np.ndarray  # (..., 4*n_rx)
-
-
-@dataclass
 class DetectorOutput:
     estimates: np.ndarray       # (..., 2) complex symbol estimates per block
 
@@ -93,11 +79,12 @@ def stack_received(y: np.ndarray) -> np.ndarray:
     return yeff
 
 
-def build_effective(h: np.ndarray, y: np.ndarray) -> EffectiveChannel:
-    """From gains (..., n_rx, 2) and received slots (..., n_rx, 2)."""
+def build_effective(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(h_eff, y_eff)`` of shapes (..., 2*n_rx, 2) and (..., 2*n_rx), from
+    gains (..., n_rx, 2) and received slots (..., n_rx, 2)."""
     if np.shape(h)[-1] != 2 or np.shape(y)[-1] != 2:
         raise ValueError("expected 2 transmit streams and 2 time slots")
-    return EffectiveChannel(alamouti_effective(h), stack_received(y))
+    return alamouti_effective(h), stack_received(y)
 
 
 def _gram_condition(g00: np.ndarray, g11: np.ndarray, det: np.ndarray) -> np.ndarray:
@@ -150,14 +137,15 @@ def zf_weights(h_eff: np.ndarray) -> np.ndarray:
     return np.moveaxis(w, 0, -2)
 
 
-def zf_detect(eff: EffectiveChannel) -> DetectorOutput:
+def zf_detect(eff: tuple[np.ndarray, np.ndarray]) -> DetectorOutput:
     """Apply the pseudo-inverse weights to the stacked receive vector."""
-    w = zf_weights(eff.h_eff)
-    return DetectorOutput(np.einsum("...ij,...j->...i", w, eff.y_eff))
+    h_eff, y_eff = eff
+    return DetectorOutput(np.einsum("...ij,...j->...i", zf_weights(h_eff), y_eff))
 
 
-def real_decomposition(h: np.ndarray, y: np.ndarray) -> RealDecomposition:
-    """Real-valued stacking of the raw two-slot equations.
+def real_decomposition(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real-valued stacking of the raw two-slot equations, y_hat = H_hat u:
+    ``(h_hat, y_hat)`` of shapes (..., 4*n_rx, 4) and (..., 4*n_rx).
 
     Per receive antenna j the four rows are Re/Im of slot 1 and Re/Im of
     slot 2, acting on u = [a1_re, a2_re, a1_im, a2_im].  Conjugations in the
@@ -181,14 +169,14 @@ def real_decomposition(h: np.ndarray, y: np.ndarray) -> RealDecomposition:
     yh[..., 1::4] = y[..., 0].imag
     yh[..., 2::4] = y[..., 1].real
     yh[..., 3::4] = y[..., 1].imag
-    return RealDecomposition(hh, yh)
+    return hh, yh
 
 
 def realzf_detect(h: np.ndarray, y: np.ndarray) -> DetectorOutput:
     """Solve the real normal equations (H_hat^T H_hat) u = H_hat^T y_hat."""
-    dec = real_decomposition(h, y)
-    a = np.einsum("...ji,...jk->...ik", dec.h_hat, dec.h_hat)
-    b = np.einsum("...ji,...j->...i", dec.h_hat, dec.y_hat)
+    h_hat, y_hat = real_decomposition(h, y)
+    a = np.einsum("...ji,...jk->...ik", h_hat, h_hat)
+    b = np.einsum("...ji,...j->...i", h_hat, y_hat)
     try:
         u = np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:

@@ -1,55 +1,38 @@
 """Multicarrier modulation: unitary (I)DFT framing with cyclic prefix.
 
-The unitary scaling keeps symbol energy identical on both sides of the
-transform, so SNR bookkeeping is the same in time and frequency domain.  The
-transform must handle non-power-of-two sizes (the full profile uses 6400
-subcarriers); numpy's pocketfft is mixed-radix.
+The subcarrier count is the width of the frames passed in, so the only
+framing parameter is the prefix length ``cp_len``.  The unitary scaling keeps
+symbol energy identical on both sides of the transform, so SNR bookkeeping is
+the same in time and frequency domain.  The transform must handle
+non-power-of-two sizes (the full profile uses 6400 subcarriers); numpy's
+pocketfft is mixed-radix.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FramingError
 
 
-@dataclass(frozen=True)
-class OfdmConfig:
-    n_subcarriers: int = 6400
-    cp_len: int = 1280
-
-    def __post_init__(self):
-        if self.n_subcarriers < 1:
-            raise ValueError("need at least one subcarrier")
-        if not 0 <= self.cp_len <= self.n_subcarriers:
-            raise ValueError(
-                f"cyclic prefix {self.cp_len} must lie in [0, {self.n_subcarriers}]"
-            )
-
-    @property
-    def symbol_len(self) -> int:
-        return self.n_subcarriers + self.cp_len
+def _check_framing(n: int, cp_len: int) -> None:
+    """A symbol is n >= 1 subcarriers behind a prefix of 0 <= cp_len <= n."""
+    if n < 1 or not 0 <= cp_len <= n:
+        raise FramingError(f"{n} subcarriers with cyclic prefix {cp_len}: need n >= 1, 0 <= CP <= n")
 
 
-def ofdm_modulate(freq_frames: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+def ofdm_modulate(freq_frames: np.ndarray, cp_len: int) -> np.ndarray:
     """Per frame: unitary IDFT, then prepend the last cp_len samples."""
     frames = np.asarray(freq_frames)
-    if frames.shape[-1] != cfg.n_subcarriers:
-        raise FramingError(
-            f"frame width {frames.shape[-1]} != {cfg.n_subcarriers} subcarriers"
-        )
+    n = frames.shape[-1]
+    _check_framing(n, cp_len)
     body = np.fft.ifft(frames, axis=-1, norm="ortho")
-    if cfg.cp_len == 0:
+    if cp_len == 0:
         return body
-    return np.concatenate([body[..., cfg.n_subcarriers - cfg.cp_len :], body], axis=-1)
+    return np.concatenate([body[..., n - cp_len :], body], axis=-1)
 
 
-def ofdm_demodulate(time_symbols: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+def ofdm_demodulate(time_symbols: np.ndarray, cp_len: int) -> np.ndarray:
     """Strip the prefix and apply the unitary DFT; inverse of ofdm_modulate."""
     sym = np.asarray(time_symbols)
-    if sym.shape[-1] != cfg.symbol_len:
-        raise FramingError(
-            f"symbol length {sym.shape[-1]} != {cfg.n_subcarriers} + CP {cfg.cp_len}"
-        )
-    return np.fft.fft(sym[..., cfg.cp_len :], axis=-1, norm="ortho")
+    _check_framing(sym.shape[-1] - cp_len, cp_len)
+    return np.fft.fft(sym[..., cp_len:], axis=-1, norm="ortho")

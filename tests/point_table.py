@@ -1,4 +1,4 @@
-"""The labeled point table ``src/mclink/data/constellations.csv``.
+"""The labeled point table ``tests/data/constellations.csv``.
 
 The committed table is the demapper's file-based oracle.  Running this file
 regenerates it from ``mclink.modem``:
@@ -12,7 +12,7 @@ import numpy as np
 
 from mclink import modem
 
-COMMITTED = Path(modem.__file__).parent / "data" / "constellations.csv"
+COMMITTED = Path(__file__).resolve().parent / "data" / "constellations.csv"
 
 
 def write_point_table(path) -> None:

@@ -131,11 +131,14 @@ def test_cli_bad_flag_value_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_runtime_error_exit_code(tmp_path, capsys):
-    # a directory where ber.csv goes is only found when the results are written
+def test_cli_runtime_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a failure while the results are written, after the whole sweep ran
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("mclink.cli.emit_results", disk_full)
     cfg_path = tmp_path / "sim.cfg"
     write_tiny_config(cfg_path)
-    (tmp_path / "out" / "ber.csv").mkdir(parents=True)
     code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "runtime error" in capsys.readouterr().err
@@ -166,6 +169,22 @@ def test_unusable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert f"config error: --out {out}" in capsys.readouterr().err
     assert occupied.read_text() == "x"
+
+
+@pytest.mark.parametrize("name", ["ber.csv", "gains.csv", "manifest.json"])
+def test_unreplaceable_output_fails_before_the_sweep(tmp_path, capsys, monkeypatch, name):
+    def entered(cfg):
+        raise AssertionError("sweep entered")
+
+    monkeypatch.setattr("mclink.cli.sweep", entered)
+    cfg_path = tmp_path / "sim.cfg"
+    write_tiny_config(cfg_path)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config error: --out {out}: {name}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [name]
+    assert not any((out / name).iterdir())
 
 
 def test_cli_runtime_error_without_message_is_named(tmp_path, capsys, monkeypatch):

@@ -284,11 +284,10 @@ def detect_alamouti_untiled(cfg, frames, snr_db, rng):
     from mclink.channel import NoiseConfig, apply_channel, draw_channel
     from mclink.engine import _redraw_weak_blocks
     from mclink.mimo import build_effective, realzf_detect, stbc_encode, zf_detect
-    from mclink.ofdm import OfdmConfig, ofdm_demodulate, ofdm_modulate
+    from mclink.ofdm import ofdm_demodulate, ofdm_modulate
 
-    ofdm_cfg = OfdmConfig(cfg.n_subcarriers, cfg.cp_len)
     amp = 1.0 / math.sqrt(2.0) if cfg.split_tx_power else 1.0
-    x_freq = ofdm_demodulate(ofdm_modulate(stbc_encode(frames) * amp, ofdm_cfg), ofdm_cfg)
+    x_freq = ofdm_demodulate(ofdm_modulate(stbc_encode(frames) * amp, cfg.cp_len), cfg.cp_len)
     n_slots = frames.shape[0]
     h = draw_channel(rng, cfg.n_subcarriers, n_blocks=n_slots // 2, n_rx=cfg.n_rx)
     redraws = _redraw_weak_blocks(h, rng)
@@ -329,3 +328,38 @@ class TestTiledDetection:
         assert np.array_equal(est, ref)
         assert redraws == ref_redraws
         assert a_rng.standard_normal() == b_rng.standard_normal()
+
+
+def mrc_rayleigh_ber(snr_db: float, branches: int) -> float:
+    """Bit error rate of BPSK/Gray-QPSK with maximal-ratio combining over
+    ``branches`` i.i.d. Rayleigh branches at per-branch Eb/N0 ``snr_db``
+    (Proakis, Digital Communications, section 14.4)."""
+    gamma = 10.0 ** (snr_db / 10.0)
+    mu = math.sqrt(gamma / (1.0 + gamma))
+    return ((1.0 - mu) / 2.0) ** branches * sum(
+        math.comb(branches - 1 + k, k) * ((1.0 + mu) / 2.0) ** k for k in range(branches)
+    )
+
+
+class TestAnalyticOracle:
+    # Uncoded, unspread QPSK through Alamouti and ZF is 2*n_rx-branch MRC;
+    # splitting the transmit power halves each branch's SNR.  The seed and
+    # the 4-standard-error tolerance are fixed, not tuned to the outcome.
+    @pytest.mark.parametrize("n_rx,split,snr_db", [
+        (1, False, 5.0), (2, False, 0.0), (4, False, -5.0),
+        (1, True, 0.0), (2, True, 5.0), (4, True, 0.0),
+    ])
+    def test_uncoded_qpsk_matches_mrc_closed_form(self, n_rx, split, snr_db):
+        from mclink.engine import _run_chunk
+
+        cfg = fast_profile(fec=False, spreading=False, n_rx=n_rx, split_tx_power=split, seed=123)
+        rates = []
+        for chunk in range(20):
+            bits, errors, _ = _run_chunk(cfg, "qpsk", snr_db, chunk)
+            rates.append(errors / bits)
+        gamma_db = snr_db - 10.0 * math.log10(2.0) if split else snr_db
+        expected = mrc_rayleigh_ber(gamma_db, 2 * n_rx)
+        # batch means: the spread of the 20 chunk BERs, which counts errors
+        # that cluster within a fading block
+        stderr = np.std(rates, ddof=1) / math.sqrt(len(rates))
+        assert abs(np.mean(rates) - expected) <= 4.0 * stderr

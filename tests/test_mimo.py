@@ -76,7 +76,7 @@ class TestStbcEncode:
         assert total == pytest.approx(np.abs(a[0]) ** 2 + np.abs(a[1]) ** 2, rel=1e-12)
 
 
-class TestEffectiveChannel:
+class TestEffectiveModel:
     def test_single_antenna_textbook_form(self):
         h = np.array([[1.0 + 0j, 0.0 + 0j]])  # one rx antenna, h1=1, h2=0
         heff = alamouti_effective(h)
@@ -85,9 +85,9 @@ class TestEffectiveChannel:
     def test_linear_model_matches_transmission(self):
         rng = np.random.default_rng(1)
         h, y, pairs = random_blocks(rng, 200, snr_db=math.inf)
-        eff = build_effective(h, y)
-        predicted = np.einsum("bij,bj->bi", eff.h_eff, pairs)
-        assert np.max(np.abs(eff.y_eff - predicted)) < 1e-12
+        h_eff, y_eff = build_effective(h, y)
+        predicted = np.einsum("bij,bj->bi", h_eff, pairs)
+        assert np.max(np.abs(y_eff - predicted)) < 1e-12
 
     def test_orthogonality_random_draws(self):
         rng = np.random.default_rng(2)
@@ -200,8 +200,8 @@ class TestDetectors:
     def test_real_gram_is_orthogonal(self):
         rng = np.random.default_rng(11)
         h, y, _ = random_blocks(rng, 1_000, snr_db=10.0)
-        dec = real_decomposition(h, y)
-        gram = np.einsum("bji,bjk->bik", dec.h_hat, dec.h_hat)
+        h_hat, _ = real_decomposition(h, y)
+        gram = np.einsum("bji,bjk->bik", h_hat, h_hat)
         g = np.sum(np.abs(h) ** 2, axis=(1, 2))
         err = gram - g[:, None, None] * np.eye(4)
         assert np.max(np.abs(err)) < 1e-10
