@@ -8,7 +8,6 @@ sample.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ class NoiseConfig:
 
     @property
     def sigma2(self) -> float:
-        if math.isinf(self.snr_db) and self.snr_db > 0:
-            return 0.0
         return 10.0 ** (-self.snr_db / 10.0)
 
 

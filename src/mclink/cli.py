@@ -3,7 +3,8 @@
     sim sweep [--config FILE] [--snr a:step:b] [--mod qpsk,64qam,...]
               [--detector zf|realzf] [--seed N] [--workers N] [--out DIR]
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/numeric error.
+Each value flag is read exactly like its field's line in a config file.
+Exit codes: 0 success, 1 usage or configuration error, 2 runtime/numeric error.
 """
 from __future__ import annotations
 
@@ -14,41 +15,40 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import SimConfig, load_config, parse_snr_grid, validate
+from .config import SimConfig, _parse_value, load_config
 from .engine import OUTPUT_FILES, compute_gains, emit_results, sweep
 from .errors import ConfigError
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, like a bad config value
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sim", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="sim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sw = sub.add_parser("sweep", help="run a BER sweep over modulations x SNR grid")
     sw.add_argument("--config", help="flat key=value config file")
-    sw.add_argument("--snr", help="SNR grid, 'start:step:stop' or comma list (dB)")
-    sw.add_argument("--mod", help="comma-separated modulation names")
-    sw.add_argument("--detector", choices=("zf", "realzf"))
-    sw.add_argument("--seed", type=int)
-    sw.add_argument("--workers", type=int)
+    # a value flag's dest is the SimConfig field it sets (see _configure)
+    sw.add_argument("--snr", dest="snr_grid_db", help="SNR grid, 'start:step:stop' or comma list (dB)")
+    sw.add_argument("--mod", dest="modulations", help="comma-separated modulation names")
+    sw.add_argument("--detector", help="zf or realzf")
+    sw.add_argument("--seed")
+    sw.add_argument("--workers")
     sw.add_argument("--out", default="results", help="output directory (default: results)")
     return parser
 
 
 def _configure(args) -> SimConfig:
     cfg = load_config(args.config) if args.config else SimConfig()
-    overrides = {}
-    if args.snr:
-        overrides["snr_grid_db"] = parse_snr_grid(args.snr)
-    if args.mod:
-        overrides["modulations"] = tuple(m.strip() for m in args.mod.split(","))
-    if args.detector:
-        overrides["detector"] = args.detector
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    return validate(dataclasses.replace(cfg, **overrides))
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cfg)}
+    return dataclasses.replace(cfg, **{
+        name: _parse_value(name, text, getattr(cfg, name))
+        for name, text in flags.items() if text is not None
+    })
 
 
 def _run_sweep(args) -> int:
@@ -82,11 +82,9 @@ def _run_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            return _run_sweep(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+        return _run_sweep(args)  # "sweep" is the only subcommand
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Simulation configuration: dataclass, validation, flat-file parser.
+"""Simulation configuration: a self-checking dataclass and its text reader.
 
 The dataclass defaults are the full-size system (6400 subcarriers,
 1280-sample prefix, -10..20 dB sweep, Alamouti 2x4).  ``fast_profile``
@@ -6,9 +6,10 @@ shrinks only the multicarrier frame so smoke tests and statistical checks run
 at desk scale with identical math.  The bit stages (PRBS-23 source, 8-chip
 spreading, K=3 (7,5) code) are fixed constants of ``bits`` and not fields.
 
-Config files are flat ``key = value`` text; each value is read as the type of
-its field's default, and the two list fields as comma lists (the SNR grid
-also as 'start:step:stop').
+A ``SimConfig`` checks itself when built (constructor, ``dataclasses.replace``
+or ``load_config``) and raises ``ConfigError``.  Config file values and CLI
+flags are both read by ``_parse_value``, as the type of the field's default;
+the two list fields as comma lists (the SNR grid also as 'start:step:stop').
 """
 from __future__ import annotations
 
@@ -19,14 +20,14 @@ from dataclasses import dataclass
 from . import modem
 from .errors import ConfigError
 
-#: Largest frame and chunk ``validate`` accepts.  One QPSK chunk (the most
+#: Largest frame and chunk a ``SimConfig`` accepts.  One QPSK chunk (the most
 #: symbols per payload bit) peaked at 85 MB RSS at the default 25,000 payload
 #: bits, 517 MB at 250,000 bits (997 MB at 500,000) and 160 MB at 65,536
 #: subcarriers (401 MB at 262,144).
 MAX_SUBCARRIERS = 65_536
 MAX_CHUNK_PAYLOAD_BITS = 250_000
 
-#: Most sweep threads ``validate`` accepts.  The sweep pool starts one thread
+#: Most sweep threads a ``SimConfig`` accepts.  The sweep pool starts one thread
 #: per busy grid point, up to ``workers``, and a sweep can have thousands of
 #: points.  This bounds threads, not memory: each in-flight chunk holds its
 #: own arrays, 85 MB for a QPSK chunk at the default size.
@@ -62,54 +63,52 @@ class SimConfig:
     gain_reference: str = "64qam"
     gain_at_snr_db: float = -5.0
 
+    def __post_init__(self):
+        """ConfigError on any inconsistent field; stores canonical names."""
+        try:
+            mods = tuple(modem.get_constellation(m).name for m in self.modulations)
+            ref = modem.get_constellation(self.gain_reference).name
+        except KeyError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not mods:
+            raise ConfigError("at least one modulation is required")
+        if len(set(mods)) != len(mods):
+            raise ConfigError("duplicate modulations in list")
+        if not self.snr_grid_db or any(
+            b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])
+        ):
+            raise ConfigError("snr_grid_db must be non-empty and strictly increasing")
+        if any(math.isnan(snr) or snr == -math.inf for snr in self.snr_grid_db):
+            # +inf stays valid: it switches the noise off
+            raise ConfigError("snr_grid_db values must be numbers or +inf, not NaN or -inf")
+        if not 1 <= self.n_subcarriers <= MAX_SUBCARRIERS or not 0 <= self.cp_len <= self.n_subcarriers:
+            raise ConfigError(f"invalid subcarrier/CP sizes (at most {MAX_SUBCARRIERS} subcarriers)")
+        if self.detector not in ("zf", "realzf"):
+            raise ConfigError(f"unknown detector {self.detector!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if not 1 <= self.n_rx <= 4:
+            raise ConfigError("n_rx must be between 1 and 4")
+        if self.min_bits < 10_000:
+            raise ConfigError("min_bits must be at least 10000")
+        if self.max_bits < self.min_bits:
+            raise ConfigError("max_bits must be >= min_bits")
+        if self.max_bit_errors < 1 or self.workers < 1:
+            raise ConfigError("max_bit_errors and workers must be positive")
+        if self.workers > MAX_WORKERS:
+            raise ConfigError(f"workers must be at most {MAX_WORKERS}")
+        if self.frame_payload_bits < 1 or self.frames_per_chunk < 1:
+            raise ConfigError("chunking sizes must be positive")
+        if self.chunk_payload_bits > MAX_CHUNK_PAYLOAD_BITS:
+            raise ConfigError(f"a chunk holds at most {MAX_CHUNK_PAYLOAD_BITS} payload bits")
+        if math.isnan(self.gain_at_snr_db):
+            raise ConfigError("gain_at_snr_db must be a number, not NaN")
+        object.__setattr__(self, "modulations", mods)
+        object.__setattr__(self, "gain_reference", ref)
+
     @property
     def chunk_payload_bits(self) -> int:
         return self.frame_payload_bits * self.frames_per_chunk
-
-
-def validate(cfg: SimConfig) -> SimConfig:
-    """Raise ConfigError on any inconsistent field; returns cfg for chaining."""
-    try:
-        mods = tuple(modem.get_constellation(m).name for m in cfg.modulations)
-        ref = modem.get_constellation(cfg.gain_reference).name
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
-    if not mods:
-        raise ConfigError("at least one modulation is required")
-    if len(set(mods)) != len(mods):
-        raise ConfigError("duplicate modulations in list")
-    if not cfg.snr_grid_db or any(
-        b <= a for a, b in zip(cfg.snr_grid_db, cfg.snr_grid_db[1:])
-    ):
-        raise ConfigError("snr_grid_db must be non-empty and strictly increasing")
-    if any(math.isnan(snr) or snr == -math.inf for snr in cfg.snr_grid_db):
-        # +inf stays valid: it switches the noise off
-        raise ConfigError("snr_grid_db values must be numbers or +inf, not NaN or -inf")
-    if not 1 <= cfg.n_subcarriers <= MAX_SUBCARRIERS or not 0 <= cfg.cp_len <= cfg.n_subcarriers:
-        raise ConfigError(f"invalid subcarrier/CP sizes (at most {MAX_SUBCARRIERS} subcarriers)")
-    if cfg.detector not in ("zf", "realzf"):
-        raise ConfigError(f"unknown detector {cfg.detector!r}")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    if not 1 <= cfg.n_rx <= 4:
-        raise ConfigError("n_rx must be between 1 and 4")
-    if cfg.min_bits < 10_000:
-        raise ConfigError("min_bits must be at least 10000")
-    if cfg.max_bits < cfg.min_bits:
-        raise ConfigError("max_bits must be >= min_bits")
-    if cfg.max_bit_errors < 1 or cfg.workers < 1:
-        raise ConfigError("max_bit_errors and workers must be positive")
-    if cfg.workers > MAX_WORKERS:
-        raise ConfigError(f"workers must be at most {MAX_WORKERS}")
-    if cfg.frame_payload_bits < 1 or cfg.frames_per_chunk < 1:
-        raise ConfigError("chunking sizes must be positive")
-    if cfg.chunk_payload_bits > MAX_CHUNK_PAYLOAD_BITS:
-        raise ConfigError(f"a chunk holds at most {MAX_CHUNK_PAYLOAD_BITS} payload bits")
-    if math.isnan(cfg.gain_at_snr_db):
-        raise ConfigError("gain_at_snr_db must be a number, not NaN")
-    if (mods, ref) != (cfg.modulations, cfg.gain_reference):
-        cfg = dataclasses.replace(cfg, modulations=mods, gain_reference=ref)
-    return cfg
 
 
 def fast_profile(**overrides) -> SimConfig:
@@ -127,7 +126,7 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
     """Either 'a:step:b' (inclusive of b within half a step) or 'a,b,c'.
 
     A range needs a finite start, step and stop and at most
-    ``MAX_SNR_POINTS`` points.  List entries are checked by ``validate``,
+    ``MAX_SNR_POINTS`` points.  List entries are checked by ``SimConfig``,
     which keeps +inf (noise off) and rejects NaN and -inf.
     """
     text = text.strip()
@@ -157,18 +156,19 @@ _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
 
 
 def _parse_value(name: str, text: str, default):
-    """Read ``text`` as the type of the field's ``default``."""
+    """Read ``text`` as the type of the field's ``default``; ConfigError if
+    it cannot be read."""
     text = text.strip()
     if name == "snr_grid_db":
         return parse_snr_grid(text)
     if name == "modulations":
         return tuple(p.strip() for p in text.split(",") if p.strip())
-    if type(default) is bool:
-        try:
+    try:
+        if type(default) is bool:
             return _BOOL_WORDS[text.lower()]
-        except KeyError:
-            raise ConfigError(f"cannot read boolean {name} = {text!r}") from None
-    return type(default)(text)  # int, float or str
+        return type(default)(text)  # int, float or str
+    except (KeyError, ValueError):
+        raise ConfigError(f"cannot read {name} = {text!r} as {type(default).__name__}") from None
 
 
 def load_config(path) -> SimConfig:
@@ -194,6 +194,6 @@ def load_config(path) -> SimConfig:
             raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
         try:
             values[key] = _parse_value(key, text, defaults[key])
-        except (ValueError, ConfigError) as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return validate(SimConfig(**values))
+    return SimConfig(**values)

@@ -29,7 +29,7 @@ import numpy as np
 from . import modem
 from .bits import PRBS_DEGREE, Prbs, conv_encode, despread, spread, viterbi_decode
 from .channel import NoiseConfig, apply_channel, complex_normal, draw_channel
-from .config import SimConfig, validate
+from .config import SimConfig
 from .mimo import build_effective, realzf_detect, stbc_encode, zf_detect
 from .ofdm import ofdm_demodulate, ofdm_modulate
 from .results import BerRecord, GainRecord, gain_vs_reference, write_ber_csv, write_gain_csv, write_manifest
@@ -55,8 +55,6 @@ def _chunk_seed(seed: int, modulation: str, snr_db: float, chunk: int) -> np.ran
 def effective_es_n0_db(cfg: SimConfig, c: modem.Constellation, snr_db: float) -> float:
     """Symbol-level Es/N0 for a grid SNR read as energy per coded payload
     bit: snr + 10*log10(bits per symbol * code rate)."""
-    if math.isinf(snr_db):
-        return snr_db
     code_rate = 0.5 if cfg.fec else 1.0
     return snr_db + 10.0 * math.log10(c.bits_per_symbol * code_rate)
 
@@ -104,6 +102,8 @@ def _detect_alamouti(cfg: SimConfig, frames: np.ndarray, snr_db: float,
     h = draw_channel(rng, n_sc, n_blocks=n_pairs, n_rx=cfg.n_rx)
     redraws = _redraw_weak_blocks(h, rng)
     y = apply_channel(x_freq, h, NoiseConfig(snr_db), rng)
+    if cfg.split_tx_power:
+        h *= amp  # the detector sees the gains with the transmit scaling
 
     # one detection problem per (pair, subcarrier), solved a tile of slot
     # pairs at a time so each tile's working set stays in cache
@@ -112,8 +112,6 @@ def _detect_alamouti(cfg: SimConfig, frames: np.ndarray, snr_db: float,
     step = max(1, TILE_BLOCKS // n_sc)
     for p in range(0, n_pairs, step):
         h_tile = h[p : p + step]
-        if cfg.split_tx_power:
-            h_tile = h_tile * amp
         y_tile = y_blocks[p : p + step]
         if cfg.detector == "realzf":
             out = realzf_detect(h_tile, y_tile)
@@ -158,7 +156,6 @@ def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tu
 def run_chain(cfg: SimConfig, modulation: str, snr_db: float) -> BerRecord:
     """Accumulate chunks until min_bits is reached and either the error
     target is met or the bit cap is hit.  Deterministic in (cfg, seed)."""
-    cfg = validate(cfg)
     name = modem.get_constellation(modulation).name
     bits = errors = redraws = 0
     chunk = 0
@@ -175,7 +172,6 @@ def run_chain(cfg: SimConfig, modulation: str, snr_db: float) -> BerRecord:
 
 def sweep(cfg: SimConfig) -> list[BerRecord]:
     """Every modulation at every grid SNR, in deterministic row order."""
-    cfg = validate(cfg)
     points = [(mod, snr) for mod in cfg.modulations for snr in cfg.snr_grid_db]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         return list(pool.map(lambda p: run_chain(cfg, p[0], p[1]), points))
@@ -183,7 +179,6 @@ def sweep(cfg: SimConfig) -> list[BerRecord]:
 
 def compute_gains(records: list[BerRecord], cfg: SimConfig) -> list[GainRecord]:
     """Gain of each swept modulation against the configured reference."""
-    cfg = validate(cfg)
     ref = cfg.gain_reference
     have = {r.modulation for r in records}
     at = cfg.gain_at_snr_db

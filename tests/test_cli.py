@@ -124,11 +124,54 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_cli_bad_flag_value_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("args", [
+    "sweep --mod 128qam",
+    "sweep --seed abc",
+    "sweep --workers x",
+    "sweep --workers 0",
+    "sweep --detector foo",
+    "sweep --bogus 1",
+    "sweep --snr=",  # an empty value is read, not ignored
+    pytest.param("", id="no subcommand"),
+])
+def test_cli_bad_flag_value_exit_code(tmp_path, capsys, args):
+    # usage errors and unreadable flag values are config errors: main
+    # returns 1 (argparse alone would raise SystemExit(2)) and writes nothing
     cfg_path = tmp_path / "sim.cfg"
     write_tiny_config(cfg_path)
-    assert main(["sweep", "--config", str(cfg_path), "--mod", "128qam"]) == 1
-    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = args.split()
+    if argv:
+        argv += ["--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", ["--help", "sweep --help", "--version"])
+def test_cli_help_and_version_exit_0(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args.split())
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value, line", [pytest.param(*case, id=case[2]) for case in [
+    ("--snr", "-5:5:0", "snr_grid_db = -5:5:0"),
+    ("--snr", "0, inf", "snr_grid_db = 0, inf"),
+    ("--mod", "qpsk,", "modulations = qpsk,"),
+    ("--mod", " QPSK, 64-QAM ", "modulations = QPSK, 64-QAM"),
+    ("--detector", "realzf", "detector = realzf"),
+    ("--seed", "7", "seed = 7"),
+    ("--workers", "2", "workers = 2"),
+]])
+def test_flag_reads_like_its_config_line(tmp_path, monkeypatch, flag, value, line):
+    seen = []
+    monkeypatch.setattr("mclink.cli.sweep", lambda cfg: seen.append(cfg) or [])
+    path = tmp_path / "line.cfg"
+    path.write_text(line + "\n")
+    assert main(["sweep", f"{flag}={value}", "--out", str(tmp_path / "out")]) == 0
+    assert seen == [load_config(path)]
 
 
 def test_cli_runtime_error_exit_code(tmp_path, capsys, monkeypatch):

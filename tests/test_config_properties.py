@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclink import SimConfig
-from mclink.config import MAX_SNR_POINTS, parse_snr_grid, validate
+from mclink.config import MAX_SNR_POINTS, parse_snr_grid
 from mclink.errors import ConfigError
 
 props = settings(deadline=None, max_examples=150)
@@ -27,7 +27,7 @@ def test_finite_range_grid(start, step, stop_steps):
     assert grid[0] == start
     assert all(b > a for a, b in zip(grid, grid[1:]))
     assert abs(grid[-1] - stop) <= step / 2 + 1e-9
-    assert validate(SimConfig(snr_grid_db=grid)).snr_grid_db == grid
+    assert SimConfig(snr_grid_db=grid).snr_grid_db == grid
 
 
 @props
@@ -54,7 +54,7 @@ def test_range_point_count_is_bounded(start, step, stop):
 def test_nan_or_minus_inf_list_entry_rejected(values, where, bad):
     values.insert(min(where, len(values)), bad)
     with pytest.raises(ConfigError):
-        validate(SimConfig(snr_grid_db=parse_snr_grid(",".join(repr(v) for v in values))))
+        SimConfig(snr_grid_db=parse_snr_grid(",".join(repr(v) for v in values)))
 
 
 @props
@@ -62,7 +62,7 @@ def test_nan_or_minus_inf_list_entry_rejected(values, where, bad):
 def test_plus_inf_list_entry_kept(values):
     grid = tuple(sorted(values)) + (math.inf,)
     text = ",".join(repr(v) for v in grid)
-    assert validate(SimConfig(snr_grid_db=parse_snr_grid(text))).snr_grid_db == grid
+    assert SimConfig(snr_grid_db=parse_snr_grid(text)).snr_grid_db == grid
 
 
 @props
@@ -74,7 +74,7 @@ def test_validate_accepts_exactly_the_usable_grids(grid):
         and not any(math.isnan(v) or v == -math.inf for v in grid)
     )
     if usable:
-        assert validate(SimConfig(snr_grid_db=grid)).snr_grid_db == grid
+        assert SimConfig(snr_grid_db=grid).snr_grid_db == grid
     else:
         with pytest.raises(ConfigError):
-            validate(SimConfig(snr_grid_db=grid))
+            SimConfig(snr_grid_db=grid)

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from mclink import SimConfig, fast_profile, run_chain, sweep
-from mclink.config import MAX_CHUNK_PAYLOAD_BITS, MAX_SUBCARRIERS, MAX_WORKERS, validate
+from mclink import SimConfig, fast_profile, load_config, run_chain, sweep
+from mclink.config import MAX_CHUNK_PAYLOAD_BITS, MAX_SUBCARRIERS, MAX_WORKERS
 from mclink.engine import compute_gains, effective_es_n0_db, emit_results
 from mclink.errors import ConfigError
 from mclink import modem
@@ -38,7 +38,9 @@ class TestConfig:
         assert (cfg.n_subcarriers, cfg.cp_len) == (256, 64)
         assert cfg.snr_grid_db == SimConfig().snr_grid_db
 
-    def test_validation_errors(self):
+    def test_validation_errors(self, tmp_path):
+        valid = SimConfig()
+        path = tmp_path / "bad.cfg"
         for bad in (
             dict(snr_grid_db=(0.0, 0.0)),
             dict(snr_grid_db=()),
@@ -58,20 +60,29 @@ class TestConfig:
             dict(frame_payload_bits=MAX_CHUNK_PAYLOAD_BITS + 1, frames_per_chunk=1),
             dict(frame_payload_bits=200, frames_per_chunk=1251),
         ):
+            # a SimConfig cannot exist with these values, however it is built
             with pytest.raises(ConfigError):
-                validate(SimConfig(**bad))
+                SimConfig(**bad)
+            with pytest.raises(ConfigError):
+                dataclasses.replace(valid, **bad)
+            path.write_text("".join(
+                f"{name} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                for name, v in bad.items()
+            ))
+            with pytest.raises(ConfigError):
+                load_config(path)
 
     def test_frame_and_chunk_caps_are_inclusive(self):
-        assert validate(SimConfig(n_subcarriers=MAX_SUBCARRIERS)).n_subcarriers == 65_536
-        cfg = validate(SimConfig(frame_payload_bits=200, frames_per_chunk=1250))
+        assert SimConfig(n_subcarriers=MAX_SUBCARRIERS).n_subcarriers == 65_536
+        cfg = SimConfig(frame_payload_bits=200, frames_per_chunk=1250)
         assert cfg.chunk_payload_bits == MAX_CHUNK_PAYLOAD_BITS == 250_000
-        assert validate(SimConfig(workers=MAX_WORKERS)).workers == 64
+        assert SimConfig(workers=MAX_WORKERS).workers == 64
 
     def test_snr_grid_rejects_nan_and_minus_inf_keeps_plus_inf(self):
         for grid in ((math.nan,), (-5.0, math.nan), (-math.inf, 0.0)):
             with pytest.raises(ConfigError):
-                validate(SimConfig(snr_grid_db=grid))
-        assert validate(SimConfig(snr_grid_db=(0.0, math.inf))).snr_grid_db == (0.0, math.inf)
+                SimConfig(snr_grid_db=grid)
+        assert SimConfig(snr_grid_db=(0.0, math.inf)).snr_grid_db == (0.0, math.inf)
 
     def test_cli_exit_code_for_non_number_snr(self, tmp_path, capsys):
         from mclink.cli import main
@@ -85,7 +96,7 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     def test_modulation_names_canonicalized(self):
-        cfg = validate(SimConfig(modulations=("QPSK", "64-QAM"), gain_reference="64-QAM"))
+        cfg = SimConfig(modulations=("QPSK", "64-QAM"), gain_reference="64-QAM")
         assert cfg.modulations == ("qpsk", "64qam")
         assert cfg.gain_reference == "64qam"
 
@@ -220,7 +231,7 @@ class TestGains:
         gains = compute_gains(records, cfg)
         paths = emit_results(records, gains, cfg, tmp_path / "out", 1.23)
         manifest = json.loads(paths["manifest"].read_text())
-        assert manifest["config"] == json.loads(json.dumps(dataclasses.asdict(validate(cfg))))
+        assert manifest["config"] == json.loads(json.dumps(dataclasses.asdict(cfg)))
         assert manifest["wall_time_s"] == 1.23
         with open(paths["ber"], newline="") as f:
             parsed = list(csv.DictReader(f))
