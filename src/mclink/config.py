@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import modem
@@ -32,6 +33,20 @@ MAX_CHUNK_PAYLOAD_BITS = 250_000
 #: points.  This bounds threads, not memory: each in-flight chunk holds its
 #: own arrays, 85 MB for a QPSK chunk at the default size.
 MAX_WORKERS = 64
+
+#: What a field accepts, by the type of its default; a bool is no number here.
+_KINDS = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str, tuple: (tuple, list)}
+
+
+def _plain(name: str, value, default):
+    """``value`` as a plain value of ``default``'s type (tuple items as its
+    first item's); ConfigError if it is of another kind."""
+    if isinstance(default, tuple) and isinstance(value, (tuple, list)):
+        return tuple(_plain(name, v, default[0]) for v in value)
+    kind = type(default)
+    if not isinstance(value, _KINDS[kind]) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{name} must be {kind.__name__}, not {type(value).__name__} {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -64,7 +79,9 @@ class SimConfig:
     gain_at_snr_db: float = -5.0
 
     def __post_init__(self):
-        """ConfigError on any inconsistent field; stores canonical names."""
+        """ConfigError on a mistyped or inconsistent field; stores plain values and canonical names."""
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _plain(f.name, getattr(self, f.name), f.default))
         try:
             mods = tuple(modem.get_constellation(m).name for m in self.modulations)
             ref = modem.get_constellation(self.gain_reference).name

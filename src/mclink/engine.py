@@ -167,7 +167,7 @@ def run_chain(cfg: SimConfig, modulation: str, snr_db: float) -> BerRecord:
         chunk += 1
         if bits >= cfg.min_bits and (errors >= cfg.max_bit_errors or bits >= cfg.max_bits):
             break
-    return BerRecord.from_counts(name, snr_db, bits, errors, redraws)
+    return BerRecord(name, float(snr_db), bits, errors, redraws)
 
 
 def sweep(cfg: SimConfig) -> list[BerRecord]:

@@ -26,6 +26,11 @@ from .errors import FramingError, SingularChannelError
 #: zero-energy blocks before detection.
 COND_CAP = 1e8
 
+# The Gram eigenvalues lo <= hi have lo * hi = det and lo + hi = tr, so with
+# r = hi / lo = cond(H)**2, det / tr**2 = r / (1 + r)**2, which falls as r
+# grows: cond(H) > C exactly when det / tr**2 < C**2 / (1 + C**2)**2.
+_DET_FLOOR = COND_CAP**2 / (1.0 + COND_CAP**2) ** 2
+
 
 def stbc_encode(frames: np.ndarray) -> np.ndarray:
     """Alamouti arrangement over slot pairs along the leading axis.
@@ -70,40 +75,24 @@ def alamouti_effective(h: np.ndarray) -> np.ndarray:
     return heff
 
 
-def stack_received(y: np.ndarray) -> np.ndarray:
-    """Interleave slot-1 samples with conjugated slot-2 samples per antenna."""
-    y = np.asarray(y)
-    yeff = np.empty(y.shape[:-2] + (2 * y.shape[-2],), dtype=complex)
-    yeff[..., 0::2] = y[..., 0]
-    yeff[..., 1::2] = np.conj(y[..., 1])
-    return yeff
-
-
 def build_effective(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(h_eff, y_eff)`` of shapes (..., 2*n_rx, 2) and (..., 2*n_rx), from
     gains (..., n_rx, 2) and received slots (..., n_rx, 2)."""
     if np.shape(h)[-1] != 2 or np.shape(y)[-1] != 2:
         raise ValueError("expected 2 transmit streams and 2 time slots")
-    return alamouti_effective(h), stack_received(y)
-
-
-def _gram_condition(g00: np.ndarray, g11: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Condition number of H from its 2x2 Gram eigenvalues, in closed form."""
-    tr = g00 + g11
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-    lo = (tr - disc) / 2.0
-    hi = (tr + disc) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.sqrt(hi / lo)
-    return np.where(lo > 0.0, cond, np.inf)
+    y = np.asarray(y)
+    y_eff = np.empty(y.shape[:-2] + (2 * y.shape[-2],), dtype=complex)
+    y_eff[..., 0::2] = y[..., 0]
+    y_eff[..., 1::2] = np.conj(y[..., 1])
+    return alamouti_effective(h), y_eff
 
 
 def zf_weights(h_eff: np.ndarray) -> np.ndarray:
     """Left pseudo-inverse W = (H^H H)^-1 H^H for 2-column channels.
 
-    Raises when any block's condition number exceeds ``COND_CAP``; the
-    caller is expected to redraw such channels and account for them in
-    diagnostics.
+    Raises when any block's condition number exceeds ``COND_CAP``, tested on
+    the Gram determinant and trace alone; the caller is expected to redraw
+    such channels and account for them in diagnostics.
     """
     h_eff = np.asarray(h_eff, dtype=complex)
     if h_eff.shape[-1] != 2:
@@ -116,9 +105,10 @@ def zf_weights(h_eff: np.ndarray) -> np.ndarray:
     g11 = np.vecdot(h1, h1).real
     g01 = np.vecdot(h0, h1)
     det = g00 * g11 - (g01.real * g01.real + g01.imag * g01.imag)
-    cond = _gram_condition(g00, g11, det)
-    if np.any(cond > COND_CAP):
-        n_bad = int(np.count_nonzero(cond > COND_CAP))
+    # tr = g00 + g11; <= also refuses the all-zero block, where det = tr = 0
+    bad = det <= _DET_FLOOR * (g00 + g11) ** 2
+    if np.any(bad):
+        n_bad = int(np.count_nonzero(bad))
         raise SingularChannelError(
             f"{n_bad} channel block(s) exceed condition cap {COND_CAP:g}"
         )

@@ -30,7 +30,7 @@ class Constellation:
     bits_per_symbol: int
     grid: np.ndarray   # unnormalized decision points, indexed by label
     scale: float       # points = grid / scale
-    pam_bits: int      # bits per axis when grid == _grid_product(n, n), else 0
+    pam_bits: int      # bits per axis when grid == _grid_square(n), else 0
 
     @property
     def order(self) -> int:
@@ -54,14 +54,10 @@ def _pam_axis(n_bits: int) -> np.ndarray:
     return axis
 
 
-def _grid_product(i_bits: int, q_bits: int) -> np.ndarray:
-    """Rectangular QAM grid: leading bits pick I, trailing bits pick Q."""
-    i_axis = _pam_axis(i_bits)
-    q_axis = _pam_axis(q_bits)
-    grid = np.empty(1 << (i_bits + q_bits), dtype=complex)
-    for label in range(grid.size):
-        grid[label] = i_axis[label >> q_bits] + 1j * q_axis[label & ((1 << q_bits) - 1)]
-    return grid
+def _grid_square(n_bits: int) -> np.ndarray:
+    """Square QAM grid: label ``(i << n_bits) | q`` is ``axis[i] + 1j * axis[q]``."""
+    axis = _pam_axis(n_bits)
+    return (axis[:, None] + 1j * axis[None, :]).reshape(-1)
 
 
 def _grid_psk(n_bits: int) -> np.ndarray:
@@ -112,7 +108,7 @@ def _build(name: str, n_bits: int, grid: np.ndarray, pam_bits: int = 0) -> Const
 
 
 def _build_square(name: str, pam_bits: int) -> Constellation:
-    return _build(name, 2 * pam_bits, _grid_product(pam_bits, pam_bits), pam_bits)
+    return _build(name, 2 * pam_bits, _grid_square(pam_bits), pam_bits)
 
 
 CONSTELLATIONS: dict[str, Constellation] = {
@@ -124,13 +120,9 @@ CONSTELLATIONS: dict[str, Constellation] = {
     "64qam": _build_square("64qam", 3),
 }
 
-_ALIASES = {"4qam": "qpsk", "qam4": "qpsk", "psk8": "8psk", "qam8": "8qam",
-            "qam16": "16qam", "qam32": "32qam", "qam64": "64qam"}
-
 
 def get_constellation(name: str) -> Constellation:
     key = name.strip().lower().replace("-", "").replace("_", "")
-    key = _ALIASES.get(key, key)
     if key not in CONSTELLATIONS:
         raise KeyError(f"unknown modulation {name!r}; known: {', '.join(SCHEMES)}")
     return CONSTELLATIONS[key]

@@ -26,17 +26,15 @@ class BerRecord:
     snr_db: float
     bits: int
     errors: int
-    ber: float
-    ci95: float
     redraws: int = 0
 
-    @classmethod
-    def from_counts(
-        cls, modulation: str, snr_db: float, bits: int, errors: int, redraws: int = 0
-    ) -> "BerRecord":
-        ber = errors / bits if bits else 0.0
-        ci95 = 1.96 * math.sqrt(ber * (1.0 - ber) / bits) if bits else 0.0
-        return cls(modulation, float(snr_db), bits, errors, ber, ci95, redraws)
+    @property
+    def ber(self) -> float:
+        return self.errors / self.bits if self.bits else 0.0
+
+    @property
+    def ci95(self) -> float:
+        return 1.96 * math.sqrt(self.ber * (1.0 - self.ber) / self.bits) if self.bits else 0.0
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,29 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 load_config(path)
 
+    @pytest.mark.parametrize("bad", [
+        dict(n_subcarriers=6400.0),
+        dict(fec="no"),
+        dict(workers=2.5),
+        dict(n_rx=True),
+        dict(seed="1"),
+        dict(gain_at_snr_db=True),
+        dict(snr_grid_db=-5.0),
+        dict(modulations=("qpsk", 3)),
+    ], ids=lambda bad: ",".join(f"{k}={v!r}" for k, v in bad.items()))
+    def test_wrongly_typed_values_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            SimConfig(**bad)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(SimConfig(), **bad)
+
+    def test_values_stored_as_plain_python(self):
+        cfg = SimConfig(seed=np.int64(3), snr_grid_db=[-5, 0], gain_at_snr_db=-5)
+        assert type(cfg.seed) is int and cfg.seed == 3
+        assert cfg.snr_grid_db == (-5.0, 0.0)
+        assert all(type(v) is float for v in cfg.snr_grid_db)
+        assert type(cfg.gain_at_snr_db) is float
+
     def test_frame_and_chunk_caps_are_inclusive(self):
         assert SimConfig(n_subcarriers=MAX_SUBCARRIERS).n_subcarriers == 65_536
         cfg = SimConfig(frame_payload_bits=200, frames_per_chunk=1250)
@@ -237,6 +260,12 @@ class TestGains:
             parsed = list(csv.DictReader(f))
         assert [(p["modulation"], float(p["snr_db"]), int(p["bits"]), int(p["errors"]))
                 for p in parsed] == [(r.modulation, r.snr_db, r.bits, r.errors) for r in records]
+
+    def test_numpy_seed_writes_manifest(self, tmp_path):
+        cfg = tiny_cfg(modulations=("qpsk",), snr_grid_db=(-5.0,), seed=np.int64(3))
+        records = sweep(cfg)
+        paths = emit_results(records, compute_gains(records, cfg), cfg, tmp_path / "out", 0.0)
+        assert json.loads(paths["manifest"].read_text())["config"]["seed"] == 3
 
     def test_csv_byte_stability(self, tmp_path):
         cfg = tiny_cfg(modulations=("8psk",), snr_grid_db=(-5.0,))

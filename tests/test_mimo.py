@@ -11,7 +11,6 @@ from mclink.mimo import (
     build_effective,
     real_decomposition,
     realzf_detect,
-    stack_received,
     stbc_encode,
     zf_detect,
     zf_weights,
@@ -100,7 +99,8 @@ class TestEffectiveModel:
 
     def test_stack_received_layout(self):
         y = np.array([[[1 + 2j, 3 + 4j]]])  # one block, one antenna, two slots
-        assert np.allclose(stack_received(y), [[1 + 2j, 3 - 4j]])
+        h = np.ones((1, 1, 2), dtype=complex)
+        assert np.allclose(build_effective(h, y)[1], [[1 + 2j, 3 - 4j]])
 
 
 class TestZfWeights:
@@ -143,6 +143,12 @@ class TestZfWeights:
             zf_weights(h)
         with pytest.raises(SingularChannelError):
             zf_weights(np.zeros((4, 2), dtype=complex))
+        # either side of the cap: 1 / 1.05e8 is refused, 1 / 0.95e8 passes
+        h[1, 1] = 1 / 1.05e8
+        with pytest.raises(SingularChannelError):
+            zf_weights(h)
+        h[1, 1] = 1 / 0.95e8
+        assert zf_weights(h)[1, 1] == pytest.approx(0.95e8, rel=1e-12)
 
 
 class TestDetectors:

@@ -66,7 +66,9 @@ def test_pam_bits_match_grid(c):
     n = c.pam_bits
     if c.name in ("qpsk", "16qam", "64qam"):
         assert 2 * n == c.bits_per_symbol
-        assert np.array_equal(c.grid, modem._grid_product(n, n))
+        axis = modem._pam_axis(n)
+        labels = np.arange(c.order)
+        assert np.array_equal(c.grid, axis[labels >> n] + 1j * axis[labels & (2**n - 1)])
     else:
         assert n == 0
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import pytest
@@ -15,8 +16,8 @@ from mclink.results import (
 def synthetic_curve(modulation, offset_db, snrs):
     """Analytic log-linear BER curve: one decade per 5 dB, shifted by offset."""
     return [
-        BerRecord.from_counts(
-            modulation, s, 10**9,
+        BerRecord(
+            modulation, float(s), 10**9,
             min(10**9, round(10**9 * 10 ** (-(s - offset_db + 10) / 5))),
         )
         for s in snrs
@@ -60,8 +61,8 @@ def test_missing_reference_point_raises():
 
 def test_ber_csv_header_and_roundtrip(tmp_path):
     records = [
-        BerRecord.from_counts("qpsk", -5.0, 100_000, 1673),
-        BerRecord.from_counts("64qam", -5.0, 100_000, 27_960),
+        BerRecord("qpsk", -5.0, 100_000, 1673),
+        BerRecord("64qam", -5.0, 100_000, 27_960),
     ]
     path = tmp_path / "ber.csv"
     write_ber_csv(records, path)
@@ -77,8 +78,14 @@ def test_ber_csv_header_and_roundtrip(tmp_path):
 
 
 def test_ci_half_width_closed_form():
-    rec = BerRecord.from_counts("qpsk", 0.0, 40_000, 123)
+    rec = BerRecord("qpsk", 0.0, 40_000, 123)
     ber = 123 / 40_000
     assert rec.ci95 == pytest.approx(1.96 * math.sqrt(ber * (1 - ber) / 40_000), rel=1e-12)
-    zero = BerRecord.from_counts("qpsk", 0.0, 40_000, 0)
+    zero = BerRecord("qpsk", 0.0, 40_000, 0)
     assert zero.ber == 0.0 and zero.ci95 == 0.0
+
+
+def test_ber_and_ci_follow_the_counts():
+    rec = dataclasses.replace(BerRecord("qpsk", 0.0, 40_000, 123), errors=400)
+    assert rec.ber == 400 / 40_000
+    assert rec.ci95 == pytest.approx(1.96 * math.sqrt(0.01 * 0.99 / 40_000), rel=1e-12)
