@@ -25,6 +25,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+#: The flags of ``sweep`` that take a value.
+_VALUE_FLAGS = ("--config", "--snr", "--mod", "--detector", "--seed", "--workers", "--out")
+
+
+def _join_values(argv: list[str]) -> list[str]:
+    """Read ``--flag value`` as ``--flag=value`` for every value flag, so a
+    value starting with ``-`` (``--snr -5:5:0``) is not taken for a flag.
+    A flag with nothing after it is left for argparse to refuse."""
+    joined = []
+    rest = iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in _VALUE_FLAGS else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    return joined
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -83,7 +99,8 @@ def _run_sweep(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser().parse_args(_join_values(argv))
         return _run_sweep(args)  # "sweep" is the only subcommand
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import modem
 from .bits import PRBS_DEGREE, Prbs, conv_encode, despread, spread, viterbi_decode
-from .channel import NoiseConfig, apply_channel, complex_normal, draw_channel
+from .channel import TILE_BLOCKS, NoiseConfig, apply_channel, complex_normal, draw_channel
 from .config import SimConfig
 from .mimo import build_effective, realzf_detect, stbc_encode, zf_detect
 from .ofdm import ofdm_demodulate, ofdm_modulate
@@ -37,12 +37,6 @@ from .results import BerRecord, GainRecord, gain_vs_reference, write_ber_csv, wr
 #: Blocks whose total channel energy falls below this are redrawn; with
 #: continuous fading this never fires, it guards injected degenerate cases.
 GRAM_FLOOR = 1e-12
-
-#: Alamouti blocks (subcarrier x slot pair) detected per tile.  With 4
-#: receive antennas a tile's gains, stacked channel and ZF weights are
-#: 256-512 KiB each, so its working set stays near a 2 MiB per-core L2 cache.
-#: A tile holds whole slot pairs, at least one.
-TILE_BLOCKS = 2048
 
 
 def _chunk_seed(seed: int, modulation: str, snr_db: float, chunk: int) -> np.random.SeedSequence:
@@ -92,16 +86,20 @@ def _detect_alamouti(cfg: SimConfig, frames: np.ndarray, snr_db: float,
     # under split_tx_power each antenna sends half the unit symbol energy
     amp = 1.0 / math.sqrt(2.0)
 
-    tx = stbc_encode(frames)
+    # one name for the transmit signal, so each stage's input is freed as
+    # soon as its output exists and none is alive when the gains are drawn
+    x = stbc_encode(frames)
     if cfg.split_tx_power:
-        tx *= amp
-    x_freq = ofdm_demodulate(ofdm_modulate(tx, cfg.cp_len), cfg.cp_len)
+        x *= amp
+    x = ofdm_modulate(x, cfg.cp_len)
+    x = ofdm_demodulate(x, cfg.cp_len)
 
     n_slots, n_sc = frames.shape
     n_pairs = n_slots // 2
     h = draw_channel(rng, n_sc, n_blocks=n_pairs, n_rx=cfg.n_rx)
     redraws = _redraw_weak_blocks(h, rng)
-    y = apply_channel(x_freq, h, NoiseConfig(snr_db), rng)
+    y = apply_channel(x, h, NoiseConfig(snr_db), rng)
+    del x
     if cfg.split_tx_power:
         h *= amp  # the detector sees the gains with the transmit scaling
 

@@ -31,6 +31,10 @@ COND_CAP = 1e8
 # grows: cond(H) > C exactly when det / tr**2 < C**2 / (1 + C**2)**2.
 _DET_FLOOR = COND_CAP**2 / (1.0 + COND_CAP**2) ** 2
 
+#: Blocks with det <= this * tr**2 (cond(H) above about 1e6) recompute det
+#: exactly before the cap is tested.  An Alamouti block has det = tr**2 / 4.
+_DET_RECHECK = 1e-12
+
 
 def stbc_encode(frames: np.ndarray) -> np.ndarray:
     """Alamouti arrangement over slot pairs along the leading axis.
@@ -46,9 +50,10 @@ def stbc_encode(frames: np.ndarray) -> np.ndarray:
     a2 = frames[1::2]
     out = np.empty((2,) + frames.shape, dtype=complex)
     out[0, 0::2] = a1
-    out[0, 1::2] = -np.conj(a2)
+    np.conjugate(a2, out=out[0, 1::2])
+    np.negative(out[0, 1::2], out=out[0, 1::2])
     out[1, 0::2] = a2
-    out[1, 1::2] = np.conj(a1)
+    np.conjugate(a1, out=out[1, 1::2])
     return out
 
 
@@ -70,8 +75,9 @@ def alamouti_effective(h: np.ndarray) -> np.ndarray:
     heff = np.empty(h.shape[:-2] + (2 * n_rx, 2), dtype=complex)
     heff[..., 0::2, 0] = h1
     heff[..., 0::2, 1] = h2
-    heff[..., 1::2, 0] = np.conj(h2)
-    heff[..., 1::2, 1] = -np.conj(h1)
+    np.conjugate(h2, out=heff[..., 1::2, 0])
+    np.conjugate(h1, out=heff[..., 1::2, 1])
+    np.negative(heff[..., 1::2, 1], out=heff[..., 1::2, 1])
     return heff
 
 
@@ -83,7 +89,7 @@ def build_effective(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     y = np.asarray(y)
     y_eff = np.empty(y.shape[:-2] + (2 * y.shape[-2],), dtype=complex)
     y_eff[..., 0::2] = y[..., 0]
-    y_eff[..., 1::2] = np.conj(y[..., 1])
+    np.conjugate(y[..., 1], out=y_eff[..., 1::2])
     return alamouti_effective(h), y_eff
 
 
@@ -104,9 +110,18 @@ def zf_weights(h_eff: np.ndarray) -> np.ndarray:
     g00 = np.vecdot(h0, h0).real
     g11 = np.vecdot(h1, h1).real
     g01 = np.vecdot(h0, h1)
-    det = g00 * g11 - (g01.real * g01.real + g01.imag * g01.imag)
-    # tr = g00 + g11; <= also refuses the all-zero block, where det = tr = 0
-    bad = det <= _DET_FLOOR * (g00 + g11) ** 2
+    det = np.asarray(g00 * g11 - (g01.real * g01.real + g01.imag * g01.imag))
+    tr2 = (g00 + g11) ** 2
+    # det cancels to a few ulp of tr**2, as large as the cap's floor, so
+    # near-singular blocks take det exactly by Lagrange's identity,
+    # sum_{i<j} |h0_i h1_j - h0_j h1_i|**2, each minor exact to an ulp of |h|**2
+    near = det <= _DET_RECHECK * tr2
+    if np.any(near):
+        a, b = h0[near], h1[near]
+        minors = a[:, :, None] * b[:, None, :] - a[:, None, :] * b[:, :, None]
+        det[near] = (minors.real**2 + minors.imag**2).sum(axis=(-2, -1)) / 2
+    # <= also refuses the all-zero block, where det = tr = 0
+    bad = det <= _DET_FLOOR * tr2
     if np.any(bad):
         n_bad = int(np.count_nonzero(bad))
         raise SingularChannelError(

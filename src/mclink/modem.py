@@ -137,8 +137,10 @@ def map_bits(data: np.ndarray, c: Constellation) -> np.ndarray:
             f"{data.shape[-1]} bits do not fill whole {c.name} symbols of {b} bits"
         )
     groups = data.reshape(data.shape[:-1] + (-1, b))
-    weights = 1 << np.arange(b - 1, -1, -1)
-    labels = (groups * weights).sum(axis=-1)
+    labels = groups[..., 0].astype(np.intp)
+    for k in range(1, b):
+        labels <<= 1
+        labels |= groups[..., k]
     return c.points[labels]
 
 

@@ -25,10 +25,11 @@ def ofdm_modulate(freq_frames: np.ndarray, cp_len: int) -> np.ndarray:
     frames = np.asarray(freq_frames)
     n = frames.shape[-1]
     _check_framing(n, cp_len)
-    body = np.fft.ifft(frames, axis=-1, norm="ortho")
-    if cp_len == 0:
-        return body
-    return np.concatenate([body[..., n - cp_len :], body], axis=-1)
+    # the IDFT is written behind its prefix, then the prefix copied in front
+    out = np.empty(frames.shape[:-1] + (n + cp_len,), dtype=np.result_type(frames, np.complex64))
+    np.fft.ifft(frames, axis=-1, norm="ortho", out=out[..., cp_len:])
+    out[..., :cp_len] = out[..., n:]
+    return out
 
 
 def ofdm_demodulate(time_symbols: np.ndarray, cp_len: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mclink.channel import NoiseConfig, apply_channel, complex_normal, draw_channel
+from mclink.channel import TILE_BLOCKS, NoiseConfig, apply_channel, complex_normal, draw_channel
 
 
 def complex_normal_two_draws(rng, shape):
@@ -159,6 +159,23 @@ def test_apply_channel_matches_einsum_reference(snr_db):
     ref = apply_channel_einsum(x, h, NoiseConfig(snr_db), np.random.default_rng(23))
     assert y.shape == ref.shape == (3, 2 * n_blocks, n_sc)
     assert np.max(np.abs(y - ref)) <= 1e-12
+
+
+# (subcarriers, slot pairs): tiles of 8 pairs with a remainder of 5, and a
+# frame wider than a tile, one pair per tile
+@pytest.mark.parametrize("n_sc,n_blocks", [(256, 21), (2500, 3)])
+def test_tiled_mix_equals_whole_chunk_reference_exactly(n_sc, n_blocks):
+    step = max(1, TILE_BLOCKS // n_sc)
+    assert n_blocks > step and (n_blocks % step or step == 1)
+    rng = np.random.default_rng(n_sc)
+    h = complex_normal(rng, (n_blocks, n_sc, 4, 2))
+    x = complex_normal(rng, (2, 2 * n_blocks, n_sc))
+    y = apply_channel(x, h, NoiseConfig(math.inf), rng)
+    # whole-chunk multiply-add per antenna; einsum rounds differently (1 ulp)
+    xb = x.reshape(2, n_blocks, 2, n_sc)
+    ref = np.stack([h[:, None, :, j, 0] * xb[0] + h[:, None, :, j, 1] * xb[1] for j in range(4)])
+    assert np.array_equal(y, ref.reshape(y.shape))
+    assert np.max(np.abs(y - apply_channel_einsum(x, h, NoiseConfig(math.inf), rng))) <= 1e-12
 
 
 def apply_channel_full_noise(x, h, noise, rng):

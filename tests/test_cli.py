@@ -174,6 +174,21 @@ def test_flag_reads_like_its_config_line(tmp_path, monkeypatch, flag, value, lin
     assert seen == [load_config(path)]
 
 
+@pytest.mark.parametrize("value", ["-5:5:0", "-5,0"])
+def test_space_separated_negative_value_reads_like_joined(tmp_path, monkeypatch, value):
+    seen = []
+    monkeypatch.setattr("mclink.cli.sweep", lambda cfg: seen.append(cfg) or [])
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--snr", value, "--out", out]) == 0
+    assert main(["sweep", f"--snr={value}", "--out", out]) == 0
+    assert seen[0] == seen[1] and seen[0].snr_grid_db[0] == -5.0
+
+
+def test_flag_without_value_exit_code(capsys):
+    assert main(["sweep", "--snr"]) == 1
+    assert "--snr: expected one argument" in capsys.readouterr().err
+
+
 def test_cli_runtime_error_exit_code(tmp_path, capsys, monkeypatch):
     # a failure while the results are written, after the whole sweep ran
     def disk_full(*args):

@@ -403,3 +403,25 @@ class TestAnalyticOracle:
         # that cluster within a fading block
         stderr = np.std(rates, ddof=1) / math.sqrt(len(rates))
         assert abs(np.mean(rates) - expected) <= 4.0 * stderr
+
+
+class TestChunkMemory:
+    # A bound, not a figure: one benchmark-sized QPSK chunk peaked at 48.65 MiB
+    # of traced numpy memory while every transmit buffer lived to the end of
+    # the chunk, and at 37.66 MiB once each is freed after its last use.
+    PEAK_MIB = 40.0
+
+    def test_qpsk_chunk_peak_memory(self):
+        import tracemalloc
+
+        from mclink.engine import _run_chunk
+
+        cfg = fast_profile(frames_per_chunk=125, frame_payload_bits=200, seed=20240)
+        _run_chunk(cfg, "qpsk", -5.0, 0)  # warm-up: imports and lazy tables
+        tracemalloc.start()
+        try:
+            _run_chunk(cfg, "qpsk", -5.0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_MIB * 2**20, f"{peak / 2**20:.2f} MiB"

@@ -67,6 +67,13 @@ class TestStbcEncode:
         assert np.allclose(out[0, 1], -np.conj(frames[1]))
         assert np.allclose(out[1, 1], np.conj(frames[0]))
 
+    def test_equals_negated_conjugate_reference(self):
+        frames = complex_normal(np.random.default_rng(6), (6, 9))
+        ref = np.empty((2, 6, 9), dtype=complex)
+        ref[0, 0::2], ref[0, 1::2] = frames[0::2], -np.conj(frames[1::2])
+        ref[1, 0::2], ref[1, 1::2] = frames[1::2], np.conj(frames[0::2])
+        assert np.array_equal(stbc_encode(frames), ref)
+
     def test_block_energy_under_power_split(self):
         rng = np.random.default_rng(14)
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -96,6 +103,19 @@ class TestEffectiveModel:
         g = np.sum(np.abs(h) ** 2, axis=(1, 2))
         err = gram - g[:, None, None] * np.eye(2)
         assert np.max(np.abs(err)) < 1e-10
+
+    def test_equals_negated_conjugate_reference(self):
+        rng = np.random.default_rng(7)
+        h = complex_normal(rng, (5, 3, 4, 2))
+        y = complex_normal(rng, (5, 3, 4, 2))
+        h_ref = np.empty((5, 3, 8, 2), dtype=complex)
+        h_ref[..., 0::2, 0], h_ref[..., 0::2, 1] = h[..., 0], h[..., 1]
+        h_ref[..., 1::2, 0], h_ref[..., 1::2, 1] = np.conj(h[..., 1]), -np.conj(h[..., 0])
+        y_ref = np.empty((5, 3, 8), dtype=complex)
+        y_ref[..., 0::2], y_ref[..., 1::2] = y[..., 0], np.conj(y[..., 1])
+        h_eff, y_eff = build_effective(h, y)
+        assert np.array_equal(h_eff, h_ref)
+        assert np.array_equal(y_eff, y_ref)
 
     def test_stack_received_layout(self):
         y = np.array([[[1 + 2j, 3 + 4j]]])  # one block, one antenna, two slots
@@ -149,6 +169,21 @@ class TestZfWeights:
             zf_weights(h)
         h[1, 1] = 1 / 0.95e8
         assert zf_weights(h)[1, 1] == pytest.approx(0.95e8, rel=1e-12)
+
+    def test_rank_one_blocks_refused(self):
+        # the second column is a multiple of the first, so cond(H) is
+        # infinite; the cancelling Gram determinant alone let some through
+        rng = np.random.default_rng(0)
+        h = rng.standard_normal((2000, 8, 2)) + 1j * rng.standard_normal((2000, 8, 2))
+        h[:, :, 1] = (0.3 + 0.7j) * h[:, :, 0]
+        accepted = 0
+        for block in h:
+            try:
+                zf_weights(block)
+                accepted += 1
+            except SingularChannelError:
+                pass
+        assert accepted == 0
 
 
 class TestDetectors:

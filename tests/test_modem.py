@@ -49,6 +49,14 @@ def test_demap_inverts_map_on_all_labels(c):
 
 
 @pytest.mark.parametrize("c", ALL, ids=lambda c: c.name)
+def test_map_equals_weighted_sum_labels(c):
+    b = c.bits_per_symbol
+    bits = np.random.default_rng(b).integers(0, 2, (3, 40 * b), dtype=np.uint8)
+    labels = (bits.reshape(3, 40, b) * (1 << np.arange(b - 1, -1, -1))).sum(axis=-1)
+    assert np.array_equal(modem.map_bits(bits, c), c.points[labels])
+
+
+@pytest.mark.parametrize("c", ALL, ids=lambda c: c.name)
 def test_demap_unchanged_across_chunk_sizes(c):
     rng = np.random.default_rng(c.order)
     noisy = rng.standard_normal((7, 611)) + 1j * rng.standard_normal((7, 611))

@@ -18,6 +18,17 @@ def test_zero_in_zero_out():
     assert np.all(out == 0)
 
 
+@pytest.mark.parametrize("cp_len", [0, 1, 16, 64])
+def test_modulate_equals_concatenated_prefix_reference(cp_len):
+    # the output is written in place; it must equal the plain concatenation
+    rng = np.random.default_rng(cp_len)
+    n = 64
+    frames = rng.standard_normal((2, 5, n)) + 1j * rng.standard_normal((2, 5, n))
+    body = np.fft.ifft(frames, axis=-1, norm="ortho")
+    ref = np.concatenate([body[..., n - cp_len :], body], axis=-1)
+    assert np.array_equal(ofdm_modulate(frames, cp_len), ref)
+
+
 def test_energy_preserved_excluding_prefix():
     cp_len = 16
     rng = np.random.default_rng(0)
