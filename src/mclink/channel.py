@@ -5,6 +5,12 @@ matrix of unit-variance circularly-symmetric complex Gaussian gains, held
 constant over the block's two time slots (quasi-static).  Noise is i.i.d.
 across antennas, slots and subcarriers with variance sigma2 per complex
 sample.
+
+Both draws are pair-major: gains as (n_blocks, n_subcarriers, n_rx, 2) and
+noise as (n_blocks, n_rx, 2, n_subcarriers), each sample's real part drawn
+before its imaginary part.  Drawing consecutive runs of slot pairs therefore
+consumes a stream exactly as one draw over all of them, so a caller may run
+the link a tile of slot pairs at a time and get the same bytes for any tile.
 """
 from __future__ import annotations
 
@@ -24,44 +30,17 @@ class NoiseConfig:
         return 10.0 ** (-self.snr_db / 10.0)
 
 
-#: Alamouti blocks (subcarrier x slot pair) per tile of the channel mix and
-#: of detection.  With 4 receive antennas a tile's gains, stacked channel and
-#: ZF weights are 256-512 KiB each, so its working set stays near a 2 MiB
-#: per-core L2 cache.  A tile holds whole slot pairs, at least one.
-TILE_BLOCKS = 2048
-
-#: float64 normals per draw; real and imaginary parts are drawn tile by tile
-#: into one reused buffer this size (256 KiB), so no full-size draw exists.
-_NORMAL_TILE_VALUES = 1 << 15
-
-
-def _normal_tiles(rng: np.random.Generator, out: np.ndarray):
-    """Yield (destination, draw) tiles covering ``out.real`` and then
-    ``out.imag`` of a C-contiguous complex ``out`` in C order, each draw
-    freshly filled with N(0, 1) values.
-
-    The draws consume the stream exactly as one draw of ``(2,) + out.shape``
-    would: all real parts first, then all imaginary parts.  The draw buffer
-    is reused, so a consumer must be done with one tile before the next.
-    """
-    flat = out.reshape(-1)
-    buf = np.empty(min(_NORMAL_TILE_VALUES, flat.size))
-    for part in (flat.real, flat.imag):
-        for start in range(0, part.size, _NORMAL_TILE_VALUES):
-            draw = buf[: min(_NORMAL_TILE_VALUES, part.size - start)]
-            rng.standard_normal(out=draw)
-            yield part[start : start + draw.size], draw
-
-
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """CN(0, 1) samples: real and imaginary parts each with variance 1/2.
 
-    Consumes the stream exactly as a draw of the real parts followed by a
-    draw of the imaginary parts.
+    Each sample's real part is drawn and then its imaginary part, in C order,
+    so draws of consecutive slices along the first axis concatenate to one
+    draw of the whole.
     """
     out = np.empty(shape, dtype=complex)
-    for dst, draw in _normal_tiles(rng, out):
-        np.multiply(draw, np.sqrt(0.5), out=dst)
+    parts = out.reshape(-1).view(np.float64)
+    rng.standard_normal(out=parts)
+    parts *= np.sqrt(0.5)
     return out
 
 
@@ -95,25 +74,17 @@ def apply_channel(
     n_blocks, n_sc, n_rx, _ = h.shape
     xb = x.reshape(2, n_blocks, 2, n_sc)
     y = np.empty((n_rx,) + xb.shape[1:], dtype=complex)
-    # a tile of whole slot pairs keeps its gains in cache across the antennas
-    step = max(1, TILE_BLOCKS // n_sc)
-    term = np.empty((min(step, n_blocks), 2, n_sc), dtype=complex)
-    for p in range(0, n_blocks, step):
-        tile = slice(p, p + step)
-        x0, x1 = xb[0, tile], xb[1, tile]
-        t = term[: x0.shape[0]]
-        for j in range(n_rx):
-            # gains into antenna j, (tile, 1, n_sc), broadcast over the two
-            # slots of a block
-            hj = h[tile, None, :, j, :]
-            np.multiply(hj[..., 0], x0, out=y[j, tile])
-            y[j, tile] += np.multiply(hj[..., 1], x1, out=t)
-    y = y.reshape(n_rx, 2 * n_blocks, n_sc)
+    term = np.empty(xb.shape[1:], dtype=complex)
+    for j in range(n_rx):
+        # gains into antenna j, (n_blocks, 1, n_sc), broadcast over the two
+        # slots of a block
+        hj = h[:, None, :, j, :]
+        np.multiply(hj[..., 0], xb[0], out=y[j])
+        y[j] += np.multiply(hj[..., 1], xb[1], out=term)
     if noise.sigma2 > 0.0:
-        # CN(0, sigma2) noise, scaled in the same two steps as
-        # complex_normal(rng, y.shape) * sqrt(sigma2), one tile at a time
-        for dst, draw in _normal_tiles(rng, y):
-            draw *= np.sqrt(0.5)
-            draw *= np.sqrt(noise.sigma2)
-            dst += draw
-    return y
+        # CN(0, sigma2) noise drawn pair-major, so calls on consecutive runs
+        # of slot pairs draw what one call on all of them would
+        n = complex_normal(rng, (n_blocks, n_rx, 2, n_sc))
+        n *= np.sqrt(noise.sigma2)
+        y += n.transpose(1, 0, 2, 3)
+    return y.reshape(n_rx, 2 * n_blocks, n_sc)

@@ -15,7 +15,11 @@ bookkeeping exact.
 Work is split into fixed-size chunks of whole FEC frames.  Each chunk derives
 its own RNG substream from (seed, modulation, SNR, chunk index), and the stop
 rule consumes chunks strictly in index order, which makes every output
-independent of worker count and scheduling.
+independent of worker count and scheduling.  A chunk's stream draws the
+source seed, then spawns three children: the fading gains, the noise and the
+weak-block redraws.  Gains and noise are drawn pair-major (see ``channel``),
+so the link runs one tile of slot pairs at a time, from STBC to detection,
+and its bytes do not depend on the tile size.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import modem
 from .bits import PRBS_DEGREE, Prbs, conv_encode, despread, spread, viterbi_decode
-from .channel import TILE_BLOCKS, NoiseConfig, apply_channel, complex_normal, draw_channel
+from .channel import NoiseConfig, apply_channel, complex_normal, draw_channel
 from .config import SimConfig
 from .mimo import build_effective, realzf_detect, stbc_encode, zf_detect
 from .ofdm import ofdm_demodulate, ofdm_modulate
@@ -37,6 +41,12 @@ from .results import BerRecord, GainRecord, gain_vs_reference, write_ber_csv, wr
 #: Blocks whose total channel energy falls below this are redrawn; with
 #: continuous fading this never fires, it guards injected degenerate cases.
 GRAM_FLOOR = 1e-12
+
+#: Alamouti blocks (subcarrier x slot pair) per tile of the link.  With 4
+#: receive antennas a tile's gains, stacked channel and ZF weights are
+#: 256-512 KiB each, so its working set stays near a 2 MiB per-core L2 cache.
+#: A tile holds whole slot pairs, at least one.
+TILE_BLOCKS = 2048
 
 
 def _chunk_seed(seed: int, modulation: str, snr_db: float, chunk: int) -> np.random.SeedSequence:
@@ -85,37 +95,34 @@ def _detect_alamouti(cfg: SimConfig, frames: np.ndarray, snr_db: float,
     per-slot symbol estimates and the weak-channel redraw count."""
     # under split_tx_power each antenna sends half the unit symbol energy
     amp = 1.0 / math.sqrt(2.0)
+    gain_rng, noise_rng, redraw_rng = rng.spawn(3)
+    noise = NoiseConfig(snr_db)
 
-    # one name for the transmit signal, so each stage's input is freed as
-    # soon as its output exists and none is alive when the gains are drawn
-    x = stbc_encode(frames)
-    if cfg.split_tx_power:
-        x *= amp
-    x = ofdm_modulate(x, cfg.cp_len)
-    x = ofdm_demodulate(x, cfg.cp_len)
-
+    # every (pair, subcarrier) block is independent from transmit to
+    # detection, so the link runs a tile of whole slot pairs at a time and
+    # only the frames and the estimates are chunk-sized
     n_slots, n_sc = frames.shape
-    n_pairs = n_slots // 2
-    h = draw_channel(rng, n_sc, n_blocks=n_pairs, n_rx=cfg.n_rx)
-    redraws = _redraw_weak_blocks(h, rng)
-    y = apply_channel(x, h, NoiseConfig(snr_db), rng)
-    del x
-    if cfg.split_tx_power:
-        h *= amp  # the detector sees the gains with the transmit scaling
-
-    # one detection problem per (pair, subcarrier), solved a tile of slot
-    # pairs at a time so each tile's working set stays in cache
-    y_blocks = y.reshape(cfg.n_rx, n_pairs, 2, n_sc).transpose(1, 3, 0, 2)
-    est = np.empty((n_pairs, 2, n_sc), dtype=complex)
+    est = np.empty((n_slots // 2, 2, n_sc), dtype=complex)
+    redraws = 0
     step = max(1, TILE_BLOCKS // n_sc)
-    for p in range(0, n_pairs, step):
-        h_tile = h[p : p + step]
-        y_tile = y_blocks[p : p + step]
+    for p in range(0, n_slots // 2, step):
+        x = stbc_encode(frames[2 * p : 2 * (p + step)])
+        if cfg.split_tx_power:
+            x *= amp
+        x = ofdm_modulate(x, cfg.cp_len)
+        x = ofdm_demodulate(x, cfg.cp_len)
+        n_pairs = x.shape[1] // 2
+        h = draw_channel(gain_rng, n_sc, n_blocks=n_pairs, n_rx=cfg.n_rx)
+        redraws += _redraw_weak_blocks(h, redraw_rng)
+        y = apply_channel(x, h, noise, noise_rng)
+        if cfg.split_tx_power:
+            h *= amp  # the detector sees the gains with the transmit scaling
+        y = y.reshape(cfg.n_rx, n_pairs, 2, n_sc).transpose(1, 3, 0, 2)
         if cfg.detector == "realzf":
-            out = realzf_detect(h_tile, y_tile)
+            out = realzf_detect(h, y)
         else:
-            out = zf_detect(build_effective(h_tile, y_tile))
-        est[p : p + step] = out.estimates.transpose(0, 2, 1)
+            out = zf_detect(build_effective(h, y))
+        est[p : p + n_pairs] = out.estimates.transpose(0, 2, 1)
     return est.reshape(n_slots, n_sc), redraws
 
 
@@ -137,12 +144,14 @@ def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tu
             [coded, np.zeros(coded.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1
         )
     symbols = modem.map_bits(coded, c)
-    stream = symbols.reshape(-1)
-
-    frames = _frame_grid(stream, cfg.n_subcarriers)
+    # past framing only the symbols' shape is needed
+    symbols_shape, n_symbols = symbols.shape, symbols.size
+    frames = _frame_grid(symbols.reshape(-1), cfg.n_subcarriers)
+    del symbols
     est, redraws = _detect_alamouti(cfg, frames, effective_es_n0_db(cfg, c, snr_db), rng)
+    del frames
 
-    est_stream = est.reshape(-1)[: stream.size].reshape(symbols.shape)
+    est_stream = est.reshape(-1)[:n_symbols].reshape(symbols_shape)
     rx_coded = modem.demap_symbols(est_stream, c)[..., :coded_len]
     rx_bits = viterbi_decode(rx_coded) if cfg.fec else rx_coded
     rx_payload = despread(rx_bits) if cfg.spreading else rx_bits

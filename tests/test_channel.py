@@ -4,19 +4,31 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mclink.channel import TILE_BLOCKS, NoiseConfig, apply_channel, complex_normal, draw_channel
+from mclink.channel import NoiseConfig, apply_channel, complex_normal, draw_channel
+from mclink.engine import TILE_BLOCKS
 
 
-def complex_normal_two_draws(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+def complex_normal_interleaved(rng, shape):
+    """One N(0, 1) draw with a trailing (re, im) axis, scaled and read as
+    complex: each sample's real part, then its imaginary part, in C order."""
+    draw = rng.standard_normal(np.empty(shape).shape + (2,)) * np.sqrt(0.5)
+    return draw.view(complex)[..., 0]
+
+
+def pair_major_noise(rng, n_blocks, n_rx, n_sc, sigma2):
+    """CN(0, sigma2) noise drawn as (n_blocks, n_rx, 2, n_sc), returned in
+    apply_channel's (n_rx, 2 * n_blocks, n_sc) layout."""
+    draw = complex_normal_interleaved(rng, (n_blocks, n_rx, 2, n_sc)) * np.sqrt(sigma2)
+    return draw.transpose(1, 0, 2, 3).reshape(n_rx, 2 * n_blocks, n_sc)
 
 
 def apply_channel_einsum(x, h, noise, rng):
     n_tx, n_slots, n_sc = x.shape
-    xb = x.reshape(n_tx, h.shape[0], -1, n_sc)
-    y = np.einsum("bnji,ibcn->jbcn", h, xb).reshape(h.shape[2], n_slots, n_sc)
+    n_blocks, _, n_rx, _ = h.shape
+    xb = x.reshape(n_tx, n_blocks, -1, n_sc)
+    y = np.einsum("bnji,ibcn->jbcn", h, xb).reshape(n_rx, n_slots, n_sc)
     if noise.sigma2 > 0.0:
-        y = y + complex_normal_two_draws(rng, y.shape) * np.sqrt(noise.sigma2)
+        y = y + pair_major_noise(rng, n_blocks, n_rx, n_sc, noise.sigma2)
     return y
 
 
@@ -135,15 +147,15 @@ def test_shape_mismatch_rejected():
         apply_channel(np.zeros((1, 4, 8), dtype=complex), h[..., :1], NoiseConfig(0.0), rng)
 
 
-# draws run in tiles of 1 << 15 normals: the last three shapes span
-# several tiles, exactly two, and one value more than a tile
+# the formula is one interleaved draw; the test keeps its name from the
+# earlier two-draw stream (all real parts, then all imaginary parts)
 @pytest.mark.parametrize("shape", [(), 5, (3,), (4, 0), (2, 3, 4, 2),
                                    (3, 20_000), (2, 1 << 15), (1 << 15) + 1])
 def test_complex_normal_equals_two_draw_formula(shape):
     a_rng = np.random.default_rng(21)
     b_rng = np.random.default_rng(21)
     a = complex_normal(a_rng, shape)
-    b = complex_normal_two_draws(b_rng, shape)
+    b = complex_normal_interleaved(b_rng, shape)
     assert a.shape == b.shape and a.dtype == b.dtype
     assert np.array_equal(a, b)
     assert a_rng.standard_normal() == b_rng.standard_normal()  # same stream position
@@ -161,8 +173,8 @@ def test_apply_channel_matches_einsum_reference(snr_db):
     assert np.max(np.abs(y - ref)) <= 1e-12
 
 
-# (subcarriers, slot pairs): tiles of 8 pairs with a remainder of 5, and a
-# frame wider than a tile, one pair per tile
+# (subcarriers, slot pairs): the engine's tiles of 8 pairs with a remainder
+# of 5, and a frame wider than a tile, one pair per tile
 @pytest.mark.parametrize("n_sc,n_blocks", [(256, 21), (2500, 3)])
 def test_tiled_mix_equals_whole_chunk_reference_exactly(n_sc, n_blocks):
     step = max(1, TILE_BLOCKS // n_sc)
@@ -170,7 +182,11 @@ def test_tiled_mix_equals_whole_chunk_reference_exactly(n_sc, n_blocks):
     rng = np.random.default_rng(n_sc)
     h = complex_normal(rng, (n_blocks, n_sc, 4, 2))
     x = complex_normal(rng, (2, 2 * n_blocks, n_sc))
-    y = apply_channel(x, h, NoiseConfig(math.inf), rng)
+    # one call per tile of slot pairs, as the engine makes them
+    y = np.concatenate([
+        apply_channel(x[:, 2 * p : 2 * (p + step)], h[p : p + step], NoiseConfig(math.inf), rng)
+        for p in range(0, n_blocks, step)
+    ], axis=1)
     # whole-chunk multiply-add per antenna; einsum rounds differently (1 ulp)
     xb = x.reshape(2, n_blocks, 2, n_sc)
     ref = np.stack([h[:, None, :, j, 0] * xb[0] + h[:, None, :, j, 1] * xb[1] for j in range(4)])
@@ -179,24 +195,24 @@ def test_tiled_mix_equals_whole_chunk_reference_exactly(n_sc, n_blocks):
 
 
 def apply_channel_full_noise(x, h, noise, rng):
-    """The untiled noise formula: one full-size CN(0, 1) draw, times
-    sqrt(sigma2), added to the noise-free mix."""
+    """The noise formula: one pair-major CN(0, 1) draw of shape
+    (n_blocks, n_rx, 2, n_sc), times sqrt(sigma2), added to the noise-free
+    mix."""
     y = apply_channel(x, h, NoiseConfig(math.inf), rng)
     if noise.sigma2 > 0.0:
-        noise_draw = complex_normal_two_draws(rng, y.shape)
-        noise_draw *= np.sqrt(noise.sigma2)
-        y += noise_draw
+        n_blocks, n_sc, n_rx, _ = h.shape
+        y += pair_major_noise(rng, n_blocks, n_rx, n_sc, noise.sigma2)
     return y
 
 
 @pytest.mark.parametrize(
     "n_rx,n_blocks,n_sc",
     [
-        (1, 9, 7),          # the 2x1 reference, less than a tile
-        (1, 150, 256),      # 2x1, 76800 samples: 2 whole tiles and a part
+        (1, 9, 7),          # the 2x1 reference
+        (1, 150, 256),      # 2x1, 76800 samples
         (4, 5, 7),
-        (4, 41, 256),       # 83968 samples, not a multiple of a tile
-        (2, 32, 256),       # 32768 samples, exactly one tile per part
+        (4, 41, 256),       # halves of 20 and 21 slot pairs
+        (2, 32, 256),
     ],
 )
 @pytest.mark.parametrize("snr_db", [-5.0, 12.0])
@@ -206,7 +222,14 @@ def test_apply_channel_tiled_noise_equals_full_draw(n_rx, n_blocks, n_sc, snr_db
     x = complex_normal(rng, (2, 2 * n_blocks, n_sc))
     a_rng = np.random.default_rng(33)
     b_rng = np.random.default_rng(33)
+    c_rng = np.random.default_rng(33)
     y = apply_channel(x, h, NoiseConfig(snr_db), a_rng)
     ref = apply_channel_full_noise(x, h, NoiseConfig(snr_db), b_rng)
     assert np.array_equal(y, ref)
-    assert a_rng.standard_normal() == b_rng.standard_normal()  # same stream position
+    # two calls on the halves of the slot pairs draw what one call on all does
+    half = n_blocks // 2
+    halves = [apply_channel(x[:, 2 * p.start : 2 * p.stop], h[p], NoiseConfig(snr_db), c_rng)
+              for p in (slice(0, half), slice(half, n_blocks))]
+    assert np.array_equal(np.concatenate(halves, axis=1), y)
+    # same stream position
+    assert a_rng.standard_normal() == b_rng.standard_normal() == c_rng.standard_normal()

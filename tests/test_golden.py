@@ -2,12 +2,15 @@
 
 Two goldens live under tests/data:
 
-* ``golden``: a fast-profile zf sweep (qpsk/16qam/64qam x -5/0/5 dB), written
-  by the code before its hot-path kernels were reworked;
+* ``golden``: a fast-profile zf sweep (qpsk/16qam/64qam x -5/0/5 dB);
 * ``golden_realzf``: the paths the first one misses -- the ``realzf``
   detector, split transmit power, two receive antennas and a 2560-subcarrier
-  frame, wider than one detection tile -- written by the code before the
-  receive path was tiled.
+  frame, wider than one tile of the link.
+
+Both were written by the code that runs the link one tile of slot pairs at a
+time, with each chunk's gains, noise and weak-block redraws on three spawned
+child streams and the gains and noise drawn pair-major, one interleaved
+(real, imaginary) normal pair per sample.
 
 A kernel change that moves one error count or one printed digit fails here.
 A change that alters RNG consumption on purpose regenerates both with
