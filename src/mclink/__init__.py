@@ -4,8 +4,8 @@ CDMA downlink in Rayleigh fading, with zero-forcing detection."""
 __version__ = "0.1.0"
 
 from .config import SimConfig, fast_profile, load_config  # noqa: E402
-from .engine import compute_gains, emit_results, run_chain, sweep  # noqa: E402
-from .results import BerRecord, GainRecord, gain_vs_reference  # noqa: E402
+from .engine import run_chain, sweep  # noqa: E402
+from .results import BerRecord, GainRecord, compute_gains, emit_results, gain_vs_reference  # noqa: E402
 
 __all__ = [
     "__version__",

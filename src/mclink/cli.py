@@ -16,8 +16,9 @@ from pathlib import Path
 
 from . import __version__
 from .config import SimConfig, _parse_value, load_config
-from .engine import OUTPUT_FILES, compute_gains, emit_results, sweep
+from .engine import sweep
 from .errors import ConfigError
+from .results import OUTPUT_FILES, compute_gains, emit_results
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,13 +32,14 @@ _VALUE_FLAGS = ("--config", "--snr", "--mod", "--detector", "--seed", "--workers
 
 def _join_values(argv: list[str]) -> list[str]:
     """Read ``--flag value`` as ``--flag=value`` for every value flag, so a
-    value starting with ``-`` (``--snr -5:5:0``) is not taken for a flag.
-    A flag with nothing after it is left for argparse to refuse."""
+    value starting with one ``-`` (``--snr -5:5:0``) is not taken for a flag.
+    A flag followed by nothing or by a ``--`` argument is left for argparse."""
     joined = []
-    rest = iter(argv)
-    for arg in rest:
-        value = next(rest, None) if arg in _VALUE_FLAGS else None
-        joined.append(arg if value is None else f"{arg}={value}")
+    for arg in argv:
+        if joined and joined[-1] in _VALUE_FLAGS and not arg.startswith("--"):
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
     return joined
 
 

@@ -51,7 +51,7 @@ def _plain(name: str, value, default):
 
 @dataclass(frozen=True)
 class SimConfig:
-    modulations: tuple[str, ...] = ("qpsk", "8psk", "8qam", "16qam", "32qam", "64qam")
+    modulations: tuple[str, ...] = modem.SCHEMES
     snr_grid_db: tuple[float, ...] = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
     n_subcarriers: int = 6400
     cp_len: int = 1280

@@ -1,4 +1,4 @@
-"""End-to-end chain assembly and Monte Carlo BER estimation.
+"""Chain assembly, the Monte Carlo loop and the sweep; the engine writes no file.
 
 Transmit chain per frame: message bits -> chip spreading -> rate-1/2
 convolutional encoding -> constellation mapping -> serial/parallel framing ->
@@ -24,9 +24,7 @@ and its bytes do not depend on the tile size.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +34,7 @@ from .channel import NoiseConfig, apply_channel, complex_normal, draw_channel
 from .config import SimConfig
 from .mimo import build_effective, realzf_detect, stbc_encode, zf_detect
 from .ofdm import ofdm_demodulate, ofdm_modulate
-from .results import BerRecord, GainRecord, gain_vs_reference, write_ber_csv, write_gain_csv, write_manifest
+from .results import BerRecord, compute_gains, emit_results  # noqa: F401 - re-exported for tests
 
 #: Blocks whose total channel energy falls below this are redrawn; with
 #: continuous fading this never fires, it guards injected degenerate cases.
@@ -182,43 +180,3 @@ def sweep(cfg: SimConfig) -> list[BerRecord]:
     points = [(mod, snr) for mod in cfg.modulations for snr in cfg.snr_grid_db]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         return list(pool.map(lambda p: run_chain(cfg, p[0], p[1]), points))
-
-
-def compute_gains(records: list[BerRecord], cfg: SimConfig) -> list[GainRecord]:
-    """Gain of each swept modulation against the configured reference."""
-    ref = cfg.gain_reference
-    have = {r.modulation for r in records}
-    at = cfg.gain_at_snr_db
-    if ref not in have or not any(r.snr_db == at for r in records if r.modulation == ref):
-        return []
-    return [
-        gain_vs_reference(records, mod, ref, at)
-        for mod in cfg.modulations
-        if mod in have
-    ]
-
-
-#: The files ``emit_results`` writes into the output directory, by key.
-OUTPUT_FILES = {"ber": "ber.csv", "gains": "gains.csv", "manifest": "manifest.json"}
-
-
-def _write_replacing(write, path: Path) -> None:
-    """``write`` a temp file beside ``path`` and rename it over ``path``, so
-    a crash leaves the old file or the new one, never part of one."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def emit_results(records, gains, cfg: SimConfig, out_dir, wall_time_s: float) -> dict[str, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {key: out / name for key, name in OUTPUT_FILES.items()}
-    _write_replacing(lambda tmp: write_ber_csv(records, tmp), paths["ber"])
-    _write_replacing(lambda tmp: write_gain_csv(gains, tmp), paths["gains"])
-    diagnostics = {"total_redraws": sum(r.redraws for r in records)}
-    _write_replacing(lambda tmp: write_manifest(cfg, tmp, wall_time_s, diagnostics), paths["manifest"])
-    return paths

@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import FramingError
 
-SCHEMES = ("qpsk", "8psk", "8qam", "16qam", "32qam", "64qam")
-
 
 @dataclass(frozen=True)
 class Constellation:
@@ -119,6 +117,8 @@ CONSTELLATIONS: dict[str, Constellation] = {
     "32qam": _build("32qam", 5, _grid_cross32()),
     "64qam": _build_square("64qam", 3),
 }
+
+SCHEMES = tuple(CONSTELLATIONS)
 
 
 def get_constellation(name: str) -> Constellation:

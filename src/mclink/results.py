@@ -1,4 +1,4 @@
-"""Result records, gain metric, and persistence (CSV + JSON manifest).
+"""Result records, gain metric and gains, and every output file.
 
 CSV schemas are fixed:
 
@@ -7,14 +7,17 @@ CSV schemas are fixed:
 
 Floats are written with ``repr`` so a rerun with the same seed is
 byte-identical.  The manifest additionally stores wall time, which is the one
-field allowed to differ between reruns.
+field allowed to differ between reruns, and spells a non-finite config float
+as ``ber.csv`` does (``"inf"``), so it stays strict JSON.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import __version__
 from .config import SimConfig
@@ -94,39 +97,69 @@ BER_CSV_HEADER = "modulation,snr_db,bits,errors,ber,ci95"
 GAIN_CSV_HEADER = "modulation,reference,at_snr_db,gain_db,flag"
 
 
+def compute_gains(records: list[BerRecord], cfg: SimConfig) -> list[GainRecord]:
+    """Gain of each swept modulation against the configured reference."""
+    ref, at = cfg.gain_reference, cfg.gain_at_snr_db
+    if not any(r.modulation == ref and r.snr_db == at for r in records):
+        return []
+    have = {r.modulation for r in records}
+    return [
+        gain_vs_reference(records, mod, ref, at)
+        for mod in cfg.modulations
+        if mod in have
+    ]
+
+
 def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
-def write_ber_csv(records, path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(BER_CSV_HEADER + "\n")
-        for r in records:
-            f.write(
-                f"{r.modulation},{_fmt(r.snr_db)},{r.bits},{r.errors},"
-                f"{_fmt(r.ber)},{_fmt(r.ci95)}\n"
-            )
+def csv_text(header: str, items) -> str:
+    """``header``, then one line per item: its attributes that ``header`` names."""
+    names = header.split(",")
+    rows = [",".join(_fmt(getattr(item, name)) for name in names) for item in items]
+    return "".join(line + "\n" for line in [header, *rows])
 
 
-def write_gain_csv(gains, path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(GAIN_CSV_HEADER + "\n")
-        for g in gains:
-            f.write(
-                f"{g.modulation},{g.reference},{_fmt(g.at_snr_db)},"
-                f"{_fmt(g.gain_db)},{g.flag}\n"
-            )
+def _json_value(value):
+    """``value``, a tuple as a list, with a non-finite float as ``_fmt`` spells it."""
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return _fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def write_manifest(cfg: SimConfig, path, wall_time_s: float, diagnostics=None) -> None:
+def manifest_text(cfg: SimConfig, records, wall_time_s: float) -> str:
     payload = {
         "version": __version__,
         "seed": cfg.seed,
-        "config": dataclasses.asdict(cfg),
+        "config": {k: _json_value(v) for k, v in dataclasses.asdict(cfg).items()},
         "wall_time_s": wall_time_s,
-        "diagnostics": diagnostics or {},
+        "diagnostics": {"total_redraws": sum(r.redraws for r in records)},
     }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    # allow_nan=False: any other non-finite value fails here, not in a reader
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
+
+#: The files ``emit_results`` writes into the output directory, by key.
+OUTPUT_FILES = {"ber": "ber.csv", "gains": "gains.csv", "manifest": "manifest.json"}
+
+
+def _write_replacing(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path`` and rename it over
+    ``path``, so a crash leaves the old file or the new one, never part of one."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text, newline="")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def emit_results(records, gains, cfg: SimConfig, out_dir, wall_time_s: float) -> dict[str, Path]:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {key: out / name for key, name in OUTPUT_FILES.items()}
+    _write_replacing(paths["ber"], csv_text(BER_CSV_HEADER, records))
+    _write_replacing(paths["gains"], csv_text(GAIN_CSV_HEADER, gains))
+    _write_replacing(paths["manifest"], manifest_text(cfg, records, wall_time_s))
+    return paths

@@ -189,6 +189,29 @@ def test_flag_without_value_exit_code(capsys):
     assert "--snr: expected one argument" in capsys.readouterr().err
 
 
+def test_flag_is_never_read_as_a_value(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--out", "--seed=3"]) == 1
+    assert "argument --out: expected one argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_of_an_inf_grid_is_strict_json(tmp_path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    cfg_path = tmp_path / "sim.cfg"
+    write_tiny_config(cfg_path)
+    with open(cfg_path, "a") as f:
+        f.write("gain_at_snr_db = -inf\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--mod", "qpsk", "--snr", "0,inf",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+    assert manifest["config"]["snr_grid_db"] == [0.0, "inf"]
+    assert manifest["config"]["gain_at_snr_db"] == "-inf"
+
+
 def test_cli_runtime_error_exit_code(tmp_path, capsys, monkeypatch):
     # a failure while the results are written, after the whole sweep ran
     def disk_full(*args):

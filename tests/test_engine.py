@@ -261,6 +261,21 @@ class TestGains:
         assert [(p["modulation"], float(p["snr_db"]), int(p["bits"]), int(p["errors"]))
                 for p in parsed] == [(r.modulation, r.snr_db, r.bits, r.errors) for r in records]
 
+    def test_manifest_bytes(self, tmp_path):
+        from mclink import __version__
+
+        cfg = tiny_cfg(modulations=("qpsk",), snr_grid_db=(-5.0, 0.0))
+        records = sweep(cfg)
+        paths = emit_results(records, compute_gains(records, cfg), cfg, tmp_path / "out", 1.23)
+        expected = {
+            "version": __version__,
+            "seed": cfg.seed,
+            "config": dataclasses.asdict(cfg),
+            "wall_time_s": 1.23,
+            "diagnostics": {"total_redraws": sum(r.redraws for r in records)},
+        }
+        assert paths["manifest"].read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
     def test_numpy_seed_writes_manifest(self, tmp_path):
         cfg = tiny_cfg(modulations=("qpsk",), snr_grid_db=(-5.0,), seed=np.int64(3))
         records = sweep(cfg)
@@ -274,21 +289,25 @@ class TestGains:
         assert out1["ber"].read_bytes() == out2["ber"].read_bytes()
 
     def test_failed_write_leaves_whole_files_and_no_temp(self, tmp_path, monkeypatch):
-        from mclink import engine
+        from pathlib import Path
+
+        from mclink.results import BER_CSV_HEADER, csv_text
 
         cfg = tiny_cfg(modulations=("qpsk",), snr_grid_db=(-5.0,))
         records = sweep(cfg)
         out = tmp_path / "out"
         paths = emit_results(records, compute_gains(records, cfg), cfg, out, 0.0)
         before = {name: p.read_bytes() for name, p in paths.items()}
+        write_text = Path.write_text
 
-        def torn_gain_writer(gains, path):
-            with open(path, "w") as f:
-                f.write("modulation,refer")
+        def torn_gain_write(path, text, **kwargs):
+            if path.name != ".gains.csv.tmp":
+                return write_text(path, text, **kwargs)
+            write_text(path, "modulation,refer", **kwargs)
             raise OSError("disk full")
 
-        engine.write_ber_csv([], tmp_path / "empty.csv")
-        monkeypatch.setattr(engine, "write_gain_csv", torn_gain_writer)
+        (tmp_path / "empty.csv").write_text(csv_text(BER_CSV_HEADER, []), newline="")
+        monkeypatch.setattr(Path, "write_text", torn_gain_write)
         with pytest.raises(OSError, match="disk full"):
             emit_results([], [], cfg, out, 0.0)
         assert sorted(p.name for p in out.iterdir()) == ["ber.csv", "gains.csv", "manifest.json"]

@@ -1,15 +1,18 @@
+import ast
 import csv
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
+import mclink
 from mclink.results import (
     BER_CSV_HEADER,
     BerRecord,
     EXTRAPOLATION_FLAG,
+    csv_text,
     gain_vs_reference,
-    write_ber_csv,
 )
 
 
@@ -59,14 +62,12 @@ def test_missing_reference_point_raises():
         gain_vs_reference(table, target="a", reference="zzz", at_snr_db=0.0)
 
 
-def test_ber_csv_header_and_roundtrip(tmp_path):
+def test_ber_csv_header_and_roundtrip():
     records = [
         BerRecord("qpsk", -5.0, 100_000, 1673),
         BerRecord("64qam", -5.0, 100_000, 27_960),
     ]
-    path = tmp_path / "ber.csv"
-    write_ber_csv(records, path)
-    lines = path.read_text().splitlines()
+    lines = csv_text(BER_CSV_HEADER, records).splitlines()
     assert lines[0] == BER_CSV_HEADER == "modulation,snr_db,bits,errors,ber,ci95"
     assert lines[1].startswith("qpsk,-5.0,100000,1673,0.01673,")
     back = list(csv.DictReader(lines))
@@ -89,3 +90,35 @@ def test_ber_and_ci_follow_the_counts():
     rec = dataclasses.replace(BerRecord("qpsk", 0.0, 40_000, 123), errors=400)
     assert rec.ber == 400 / 40_000
     assert rec.ci95 == pytest.approx(1.96 * math.sqrt(0.01 * 0.99 / 40_000), rel=1e-12)
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` is ``os.replace``, ``.write_text``, ``.write_bytes``,
+    or an ``open`` whose mode writes (a mode not spelled out counts)."""
+    fn = call.func
+    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+    if isinstance(fn, ast.Attribute) and getattr(fn.value, "id", None) == "os":
+        return name == "replace"
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # open(path, mode) or path.open(mode)
+    modes = call.args[1:2] if isinstance(fn, ast.Name) else call.args[:1]
+    modes += [k.value for k in call.keywords if k.arg == "mode"]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not isinstance(mode, ast.Constant) or any(c in str(mode.value) for c in "wax+")
+
+
+def test_only_results_writes_files():
+    package = Path(mclink.__file__).parent
+    writers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in package.glob("*.py")
+        if path.name != "results.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _writes_a_file(node)
+    )
+    assert writers == []
