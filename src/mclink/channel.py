@@ -11,6 +11,11 @@ noise as (n_blocks, n_rx, 2, n_subcarriers), each sample's real part drawn
 before its imaginary part.  Drawing consecutive runs of slot pairs therefore
 consumes a stream exactly as one draw over all of them, so a caller may run
 the link a tile of slot pairs at a time and get the same bytes for any tile.
+
+Received samples take the gains' block layout, (n_blocks, n_subcarriers,
+n_rx, 2) with the slot last: each block is y = H a + n, with the n_rx x 2
+received slots beside the n_rx x 2 gain matrix H, which is how both
+detectors read a block.
 """
 from __future__ import annotations
 
@@ -52,18 +57,15 @@ def draw_channel(rng: np.random.Generator, n_subcarriers: int, n_blocks: int,
     return complex_normal(rng, (n_blocks, n_subcarriers, n_rx, 2))
 
 
-def apply_channel(
-    x: np.ndarray,
-    h: np.ndarray,
-    noise: NoiseConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """y_j = h_j0 a_0 + h_j1 a_1 + n_j per subcarrier and slot.
+def apply_channel(x: np.ndarray, h: np.ndarray, noise: NoiseConfig,
+                  rng: np.random.Generator) -> np.ndarray:
+    """y[..., j, s] = h[..., j, 0] a_0[s] + h[..., j, 1] a_1[s] + n per block.
 
     ``x`` holds the two antennas' frequency-domain frames with shape
     (2, n_slots, n_subcarriers), and ``h`` one gain matrix per slot pair,
-    i.e. n_slots = 2 * n_blocks.  Returns the received frames, shape
-    (n_rx, n_slots, n_subcarriers).
+    i.e. n_slots = 2 * n_blocks.  Returns the received samples in h's shape,
+    (n_blocks, n_subcarriers, n_rx, 2), the last axis being the slot, so
+    each block's slots sit beside its gains as the detectors read them.
     """
     x = np.asarray(x)
     if h.ndim != 4 or h.shape[-1] != 2 or x.shape != (2, 2 * h.shape[0], h.shape[1]):
@@ -72,19 +74,14 @@ def apply_channel(
             "(2, 2 * n_blocks, n_sc) and (n_blocks, n_sc, n_rx, 2)"
         )
     n_blocks, n_sc, n_rx, _ = h.shape
-    xb = x.reshape(2, n_blocks, 2, n_sc)
-    y = np.empty((n_rx,) + xb.shape[1:], dtype=complex)
-    term = np.empty(xb.shape[1:], dtype=complex)
-    for j in range(n_rx):
-        # gains into antenna j, (n_blocks, 1, n_sc), broadcast over the two
-        # slots of a block
-        hj = h[:, None, :, j, :]
-        np.multiply(hj[..., 0], xb[0], out=y[j])
-        y[j] += np.multiply(hj[..., 1], xb[1], out=term)
+    # antenna i's slots as (n_blocks, n_sc, 1, 2) times its gain column, (..., n_rx, 1)
+    xb = x.reshape(2, n_blocks, 2, n_sc).transpose(0, 1, 3, 2)[:, :, :, None, :]
+    y = h[..., 0:1] * xb[0]
+    y += h[..., 1:2] * xb[1]
     if noise.sigma2 > 0.0:
         # CN(0, sigma2) noise drawn pair-major, so calls on consecutive runs
         # of slot pairs draw what one call on all of them would
         n = complex_normal(rng, (n_blocks, n_rx, 2, n_sc))
         n *= np.sqrt(noise.sigma2)
-        y += n.transpose(1, 0, 2, 3)
-    return y.reshape(n_rx, 2 * n_blocks, n_sc)
+        y += n.transpose(0, 3, 1, 2)
+    return y

@@ -83,6 +83,9 @@ def _run_sweep(args) -> int:
     records = sweep(cfg)
     wall = time.perf_counter() - start
     gains = compute_gains(records, cfg)
+    if not gains:
+        ref = f"{cfg.gain_reference} at {cfg.gain_at_snr_db} dB"
+        print(f"note: no gains: {ref} is not a swept point", file=sys.stderr)
     paths = emit_results(records, gains, cfg, out, wall)
     for r in records:
         print(

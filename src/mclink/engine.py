@@ -66,10 +66,8 @@ def _redraw_weak_blocks(h: np.ndarray, rng: np.random.Generator) -> int:
     the redraw count."""
     total = 0
     while True:
-        # per-block sum of re^2 + im^2, as one dot product over the float view
-        parts = np.ascontiguousarray(h).view(np.float64)
-        parts = parts.reshape(parts.shape[:-2] + (-1,))
-        g = np.vecdot(parts, parts)
+        # per-block channel energy, the sum of |h|^2 over its n_rx x 2 gains
+        g = np.sum(h.real**2 + h.imag**2, axis=(-2, -1))
         bad = ~(g > GRAM_FLOOR)
         n_bad = int(np.count_nonzero(bad))
         if n_bad == 0:
@@ -91,10 +89,7 @@ def _detect_alamouti(cfg: SimConfig, frames: np.ndarray, snr_db: float,
                      rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Frames through STBC, OFDM, fading and linear detection; returns the
     per-slot symbol estimates and the weak-channel redraw count."""
-    # under split_tx_power each antenna sends half the unit symbol energy
-    amp = 1.0 / math.sqrt(2.0)
     gain_rng, noise_rng, redraw_rng = rng.spawn(3)
-    noise = NoiseConfig(snr_db)
 
     # every (pair, subcarrier) block is independent from transmit to
     # detection, so the link runs a tile of whole slot pairs at a time and
@@ -105,22 +100,20 @@ def _detect_alamouti(cfg: SimConfig, frames: np.ndarray, snr_db: float,
     step = max(1, TILE_BLOCKS // n_sc)
     for p in range(0, n_slots // 2, step):
         x = stbc_encode(frames[2 * p : 2 * (p + step)])
-        if cfg.split_tx_power:
-            x *= amp
         x = ofdm_modulate(x, cfg.cp_len)
         x = ofdm_demodulate(x, cfg.cp_len)
-        n_pairs = x.shape[1] // 2
-        h = draw_channel(gain_rng, n_sc, n_blocks=n_pairs, n_rx=cfg.n_rx)
+        h = draw_channel(gain_rng, n_sc, n_blocks=x.shape[1] // 2, n_rx=cfg.n_rx)
         redraws += _redraw_weak_blocks(h, redraw_rng)
-        y = apply_channel(x, h, noise, noise_rng)
         if cfg.split_tx_power:
-            h *= amp  # the detector sees the gains with the transmit scaling
-        y = y.reshape(cfg.n_rx, n_pairs, 2, n_sc).transpose(1, 3, 0, 2)
+            # each antenna sends half the unit symbol energy; the mix is
+            # linear, so scaling the gains scales what the antennas send
+            h *= 1.0 / math.sqrt(2.0)
+        y = apply_channel(x, h, NoiseConfig(snr_db), noise_rng)
         if cfg.detector == "realzf":
             out = realzf_detect(h, y)
         else:
             out = zf_detect(build_effective(h, y))
-        est[p : p + n_pairs] = out.estimates.transpose(0, 2, 1)
+        est[p : p + len(y)] = out.estimates.transpose(0, 2, 1)
     return est.reshape(n_slots, n_sc), redraws
 
 
@@ -130,7 +123,7 @@ def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tu
     rng = np.random.default_rng(_chunk_seed(cfg.seed, c.name, snr_db, chunk))
 
     source = Prbs(int(rng.integers(1, 1 << PRBS_DEGREE)))
-    payload = source.generate(cfg.frames_per_chunk * cfg.frame_payload_bits)
+    payload = source.generate(cfg.chunk_payload_bits)
     payload = payload.reshape(cfg.frames_per_chunk, cfg.frame_payload_bits)
 
     tx_bits = spread(payload) if cfg.spreading else payload

@@ -17,16 +17,16 @@ def complex_normal_interleaved(rng, shape):
 
 def pair_major_noise(rng, n_blocks, n_rx, n_sc, sigma2):
     """CN(0, sigma2) noise drawn as (n_blocks, n_rx, 2, n_sc), returned in
-    apply_channel's (n_rx, 2 * n_blocks, n_sc) layout."""
+    apply_channel's (n_blocks, n_sc, n_rx, 2) layout."""
     draw = complex_normal_interleaved(rng, (n_blocks, n_rx, 2, n_sc)) * np.sqrt(sigma2)
-    return draw.transpose(1, 0, 2, 3).reshape(n_rx, 2 * n_blocks, n_sc)
+    return draw.transpose(0, 3, 1, 2)
 
 
 def apply_channel_einsum(x, h, noise, rng):
-    n_tx, n_slots, n_sc = x.shape
+    n_tx, _, n_sc = x.shape
     n_blocks, _, n_rx, _ = h.shape
     xb = x.reshape(n_tx, n_blocks, -1, n_sc)
-    y = np.einsum("bnji,ibcn->jbcn", h, xb).reshape(n_rx, n_slots, n_sc)
+    y = np.einsum("bnji,ibsn->bnjs", h, xb)
     if noise.sigma2 > 0.0:
         y = y + pair_major_noise(rng, n_blocks, n_rx, n_sc, noise.sigma2)
     return y
@@ -82,9 +82,11 @@ def test_identity_channel_noise_off():
     n_sc = 6
     x = rng.standard_normal((2, 2, n_sc)) + 1j * rng.standard_normal((2, 2, n_sc))
     y = apply_channel(x, _identity_like_channel(n_sc), NoiseConfig(math.inf), rng)
-    assert np.allclose(y[0], x[0], atol=1e-15)
-    assert np.allclose(y[1], x[1], atol=1e-15)
-    assert np.all(y[2] == 0) and np.all(y[3] == 0)
+    assert y.shape == (1, n_sc, 4, 2)
+    # y[0, :, j] is receive antenna j's (subcarrier, slot) samples
+    assert np.allclose(y[0, :, 0].T, x[0], atol=1e-15)
+    assert np.allclose(y[0, :, 1].T, x[1], atol=1e-15)
+    assert np.all(y[..., 2:, :] == 0)
 
 
 def test_noise_only_variance_at_zero_db():
@@ -94,8 +96,8 @@ def test_noise_only_variance_at_zero_db():
     x = np.zeros((2, 2 * n_blocks, n_sc), dtype=complex)
     h = draw_channel(rng, n_sc, n_blocks=n_blocks)
     y = apply_channel(x, h, NoiseConfig(0.0), rng)
-    for j in range(4):
-        var = np.mean(np.abs(y[j]) ** 2)
+    for j in range(4):  # receive antenna j
+        var = np.mean(np.abs(y[..., j, :]) ** 2)
         assert 0.97 < var < 1.03
 
 
@@ -169,7 +171,7 @@ def test_apply_channel_matches_einsum_reference(snr_db):
     x = complex_normal(rng, (2, 2 * n_blocks, n_sc))
     y = apply_channel(x, h, NoiseConfig(snr_db), np.random.default_rng(23))
     ref = apply_channel_einsum(x, h, NoiseConfig(snr_db), np.random.default_rng(23))
-    assert y.shape == ref.shape == (3, 2 * n_blocks, n_sc)
+    assert y.shape == ref.shape == (n_blocks, n_sc, 3, 2)
     assert np.max(np.abs(y - ref)) <= 1e-12
 
 
@@ -186,11 +188,11 @@ def test_tiled_mix_equals_whole_chunk_reference_exactly(n_sc, n_blocks):
     y = np.concatenate([
         apply_channel(x[:, 2 * p : 2 * (p + step)], h[p : p + step], NoiseConfig(math.inf), rng)
         for p in range(0, n_blocks, step)
-    ], axis=1)
-    # whole-chunk multiply-add per antenna; einsum rounds differently (1 ulp)
-    xb = x.reshape(2, n_blocks, 2, n_sc)
-    ref = np.stack([h[:, None, :, j, 0] * xb[0] + h[:, None, :, j, 1] * xb[1] for j in range(4)])
-    assert np.array_equal(y, ref.reshape(y.shape))
+    ])
+    # whole-chunk multiply-add per slot; einsum rounds differently (1 ulp)
+    ref = np.stack([h[..., 0] * x[0, s::2, :, None] + h[..., 1] * x[1, s::2, :, None]
+                    for s in range(2)], axis=-1)
+    assert np.array_equal(y, ref)
     assert np.max(np.abs(y - apply_channel_einsum(x, h, NoiseConfig(math.inf), rng))) <= 1e-12
 
 
@@ -230,6 +232,6 @@ def test_apply_channel_tiled_noise_equals_full_draw(n_rx, n_blocks, n_sc, snr_db
     half = n_blocks // 2
     halves = [apply_channel(x[:, 2 * p.start : 2 * p.stop], h[p], NoiseConfig(snr_db), c_rng)
               for p in (slice(0, half), slice(half, n_blocks))]
-    assert np.array_equal(np.concatenate(halves, axis=1), y)
+    assert np.array_equal(np.concatenate(halves), y)
     # same stream position
     assert a_rng.standard_normal() == b_rng.standard_normal() == c_rng.standard_normal()

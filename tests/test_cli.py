@@ -212,6 +212,25 @@ def test_manifest_of_an_inf_grid_is_strict_json(tmp_path):
     assert manifest["config"]["gain_at_snr_db"] == "-inf"
 
 
+def test_gains_missing_their_reference_point_are_named_on_stderr(tmp_path, capsys):
+    cfg_path = tmp_path / "sim.cfg"
+    write_tiny_config(cfg_path)
+    out = tmp_path / "out"
+    # the default reference, 64qam at -5 dB, is not on this grid
+    assert main(["sweep", "--config", str(cfg_path), "--mod", "qpsk", "--snr", "0,inf",
+                 "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "note: no gains: 64qam at -5.0 dB is not a swept point\n"
+    assert not any(line.startswith("gain ") for line in captured.out.splitlines())
+    assert (out / "gains.csv").read_text() == "modulation,reference,at_snr_db,gain_db,flag\n"
+    # with the reference point swept there are gains and no note
+    assert main(["sweep", "--config", str(cfg_path), "--mod", "qpsk,64qam", "--snr", "-5",
+                 "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert sum(line.startswith("gain ") for line in captured.out.splitlines()) == 2
+
+
 def test_cli_runtime_error_exit_code(tmp_path, capsys, monkeypatch):
     # a failure while the results are written, after the whole sweep ran
     def disk_full(*args):
@@ -302,6 +321,13 @@ COMMITTED = {
 @pytest.mark.parametrize("name", sorted({p.name for p in CONFIGS.glob("*.cfg")} | set(COMMITTED)))
 def test_committed_example_config_loads(name):
     assert load_config(CONFIGS / name) == COMMITTED[name]
+
+
+def test_example_config_sets_every_field():
+    # its header says any SimConfig field can be set, so it shows each one
+    lines = (CONFIGS / "example.cfg").read_text().splitlines()
+    keys = {line.split("#", 1)[0].partition("=")[0].strip() for line in lines}
+    assert {f.name for f in dataclasses.fields(SimConfig)} <= keys
 
 
 def test_comparison_recipe_runs(tmp_path, capsys):

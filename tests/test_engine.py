@@ -337,9 +337,13 @@ class TestRedraws:
         assert np.array_equal(redrawn[0], h[0])  # healthy blocks untouched
 
 
-def detect_alamouti_untiled(cfg, frames, snr_db, rng):
+def detect_alamouti_untiled(cfg, frames, snr_db, rng, scale_stream=False):
     """The whole-frame link from its public stages: one call of each over
-    every (pair, subcarrier) block at once, on the three child streams."""
+    every (pair, subcarrier) block at once, on the three child streams.
+
+    Under ``split_tx_power`` the gains are scaled once, before the mix, as
+    the engine does; ``scale_stream`` instead scales the STBC output and,
+    after the mix, the gains the detector sees."""
     from mclink.channel import NoiseConfig, apply_channel, draw_channel
     from mclink.engine import _redraw_weak_blocks
     from mclink.mimo import build_effective, realzf_detect, stbc_encode, zf_detect
@@ -347,17 +351,18 @@ def detect_alamouti_untiled(cfg, frames, snr_db, rng):
 
     gain_rng, noise_rng, redraw_rng = rng.spawn(3)
     amp = 1.0 / math.sqrt(2.0) if cfg.split_tx_power else 1.0
-    x_freq = ofdm_demodulate(ofdm_modulate(stbc_encode(frames) * amp, cfg.cp_len), cfg.cp_len)
+    stream_amp, gain_amp = (amp, 1.0) if scale_stream else (1.0, amp)
+    x = ofdm_modulate(stbc_encode(frames) * stream_amp, cfg.cp_len)
+    x_freq = ofdm_demodulate(x, cfg.cp_len)
     n_slots = frames.shape[0]
     h = draw_channel(gain_rng, cfg.n_subcarriers, n_blocks=n_slots // 2, n_rx=cfg.n_rx)
     redraws = _redraw_weak_blocks(h, redraw_rng)
-    y = apply_channel(x_freq, h, NoiseConfig(snr_db), noise_rng)
-    h_blocks = h * amp
-    y_blocks = y.reshape(cfg.n_rx, n_slots // 2, 2, cfg.n_subcarriers).transpose(1, 3, 0, 2)
+    y = apply_channel(x_freq, h * gain_amp, NoiseConfig(snr_db), noise_rng)
+    h *= amp  # the gains the detector sees
     if cfg.detector == "realzf":
-        out = realzf_detect(h_blocks, y_blocks)
+        out = realzf_detect(h, y)
     else:
-        out = zf_detect(build_effective(h_blocks, y_blocks))
+        out = zf_detect(build_effective(h, y))
     return out.estimates.transpose(0, 2, 1).reshape(n_slots, cfg.n_subcarriers), redraws
 
 
@@ -401,6 +406,24 @@ class TestTiledDetection:
         assert np.array_equal(est, ref)
         assert redraws == ref_redraws
         assert position == rng.standard_normal()
+
+    @pytest.mark.parametrize("detector", ["zf", "realzf"])
+    @pytest.mark.parametrize("n_rx", [1, 4])
+    def test_split_power_scaling_the_gains_matches_scaling_the_stream(self, detector, n_rx):
+        from mclink import engine
+        from mclink.channel import complex_normal
+
+        # 40 slot pairs of 64 subcarriers: two tiles, of 32 and 8 pairs
+        cfg = fast_profile(n_subcarriers=64, cp_len=16, detector=detector,
+                           n_rx=n_rx, split_tx_power=True)
+        frames = complex_normal(np.random.default_rng(3), (80, 64))
+        est, redraws = engine._detect_alamouti(cfg, frames, 3.0, np.random.default_rng(40))
+        # the order before the gains took the scaling: the STBC output scaled
+        # by 1/sqrt(2), then the same factor on the gains the detector sees
+        ref, ref_redraws = detect_alamouti_untiled(
+            cfg, frames, 3.0, np.random.default_rng(40), scale_stream=True)
+        assert redraws == ref_redraws
+        assert np.allclose(est, ref, rtol=0.0, atol=1e-12)
 
     def test_injected_zero_block_redrawn_without_moving_gains_or_noise(self, monkeypatch):
         from mclink import channel, engine

@@ -272,7 +272,6 @@ def test_full_noiseless_transparency_through_channel_module():
     tx = stbc_encode(frames)
     h = draw_channel(rng, n_sc, n_blocks=n_blocks)
     y = apply_channel(tx, h, NoiseConfig(math.inf), rng)
-    y_blocks = y.reshape(4, n_blocks, 2, n_sc).transpose(1, 3, 0, 2)
-    out = zf_detect(build_effective(h, y_blocks))
+    out = zf_detect(build_effective(h, y))
     est_frames = out.estimates.transpose(0, 2, 1).reshape(2 * n_blocks, n_sc)
     assert np.max(np.abs(est_frames - frames)) < 1e-9
