@@ -22,16 +22,16 @@ from . import modem
 from .errors import ConfigError
 
 #: Largest frame and chunk a ``SimConfig`` accepts.  One QPSK chunk (the most
-#: symbols per payload bit) peaked in a fresh process at 46 MiB RSS on the fast
-#: frame, 109 MiB at 250,000 payload bits (180 at 500,000) and 129 MiB at
-#: 65,536 subcarriers (373 at 262,144), 30 MiB of each being the imports.
+#: symbols per payload bit) peaked in a fresh process at 41 MiB RSS on the fast
+#: frame, 67 MiB at 250,000 payload bits (95 at 500,000) and 125 MiB at
+#: 65,536 subcarriers (372 at 262,144), 30 MiB of each being the imports.
 MAX_SUBCARRIERS = 65_536
 MAX_CHUNK_PAYLOAD_BITS = 250_000
 
 #: Most sweep threads a ``SimConfig`` accepts.  The sweep pool starts one thread
 #: per busy grid point, up to ``workers``, and a sweep can have thousands of
 #: points.  This bounds threads, not memory: each in-flight chunk holds its
-#: own arrays, 22 MiB above the imports for a QPSK chunk at the default size.
+#: own arrays, 17 MiB above the imports for a QPSK chunk at the default size.
 MAX_WORKERS = 64
 
 #: What a field accepts, by the type of its default; a bool is no number here.

@@ -18,8 +18,9 @@ rule consumes chunks strictly in index order, which makes every output
 independent of worker count and scheduling.  A chunk's stream draws the
 source seed, then spawns three children: the fading gains, the noise and the
 weak-block redraws.  Gains and noise are drawn pair-major (see ``channel``),
-so the link runs one tile of slot pairs at a time, from STBC to detection,
-and its bytes do not depend on the tile size.
+so the link runs one tile of slot pairs at a time, from mapping to
+demapping, and its bytes do not depend on the tile size.  A chunk holds its
+bits, coded and hard-decided, and no complex array larger than one tile.
 """
 from __future__ import annotations
 
@@ -46,6 +47,13 @@ GRAM_FLOOR = 1e-12
 #: A tile holds whole slot pairs, at least one.
 TILE_BLOCKS = 2048
 
+# glibc gives the heap's free top back to the kernel above twice the largest
+# mmapped block freed so far (mallopt(3)).  A tile's arrays are at most
+# 0.5 MiB but add up to a few MiB, so each tile would fault its memory in
+# again: 16,000 minor faults, a fifth of a fast-qpsk chunk's time.  One freed
+# 8 MiB block keeps it mapped; other allocators see one allocation.
+np.empty(8 << 20, dtype=np.uint8)
+
 
 def _chunk_seed(seed: int, modulation: str, snr_db: float, chunk: int) -> np.random.SeedSequence:
     name_word = int.from_bytes(modulation.encode("ascii"), "big")
@@ -67,8 +75,8 @@ def _redraw_weak_blocks(h: np.ndarray, rng: np.random.Generator) -> int:
     total = 0
     while True:
         # per-block channel energy, the sum of |h|^2 over its n_rx x 2 gains
-        g = np.sum(h.real**2 + h.imag**2, axis=(-2, -1))
-        bad = ~(g > GRAM_FLOOR)
+        hb = h.reshape(h.shape[:-2] + (-1,))
+        bad = ~(np.vecdot(hb, hb).real > GRAM_FLOOR)
         n_bad = int(np.count_nonzero(bad))
         if n_bad == 0:
             return total
@@ -76,30 +84,26 @@ def _redraw_weak_blocks(h: np.ndarray, rng: np.random.Generator) -> int:
         h[bad] = complex_normal(rng, (n_bad,) + h.shape[-2:])
 
 
-def _frame_grid(stream: np.ndarray, n_subcarriers: int) -> np.ndarray:
-    """Zero-pad a symbol stream into (n_slots, n_subcarriers) frames, with
-    n_slots rounded up to whole Alamouti slot pairs."""
-    n_slots = 2 * -(-stream.size // (2 * n_subcarriers))
-    grid = np.zeros(n_slots * n_subcarriers, dtype=complex)
-    grid[: stream.size] = stream
-    return grid.reshape(n_slots, n_subcarriers)
-
-
-def _detect_alamouti(cfg: SimConfig, frames: np.ndarray, snr_db: float,
-                     rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Frames through STBC, OFDM, fading and linear detection; returns the
-    per-slot symbol estimates and the weak-channel redraw count."""
+def _detect_alamouti(cfg: SimConfig, c: modem.Constellation, groups: np.ndarray,
+                     snr_db: float, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Coded bit groups, one row per symbol, through mapping, STBC, OFDM,
+    fading, linear detection and demapping; returns the hard bits in the
+    groups' shape and the weak-channel redraw count."""
     gain_rng, noise_rng, redraw_rng = rng.spawn(3)
 
     # every (pair, subcarrier) block is independent from transmit to
-    # detection, so the link runs a tile of whole slot pairs at a time and
-    # only the frames and the estimates are chunk-sized
-    n_slots, n_sc = frames.shape
-    est = np.empty((n_slots // 2, 2, n_sc), dtype=complex)
+    # detection, so the link runs a tile of whole slot pairs at a time, from
+    # bits to bits; the symbol stream fills (slot, subcarrier) frames row by
+    # row, and the last tile is zero-padded to whole slot pairs
+    n_sc = cfg.n_subcarriers
+    hard = np.empty_like(groups)
     redraws = 0
-    step = max(1, TILE_BLOCKS // n_sc)
-    for p in range(0, n_slots // 2, step):
-        x = stbc_encode(frames[2 * p : 2 * (p + step)])
+    step = 2 * n_sc * max(1, TILE_BLOCKS // n_sc)
+    for start in range(0, len(groups), step):
+        tile = groups[start : start + step]
+        frames = np.zeros((-(-len(tile) // (2 * n_sc)) * 2, n_sc), dtype=complex)
+        frames.reshape(-1)[: len(tile)] = modem.map_bits(tile.reshape(-1), c)
+        x = stbc_encode(frames)
         x = ofdm_modulate(x, cfg.cp_len)
         x = ofdm_demodulate(x, cfg.cp_len)
         h = draw_channel(gain_rng, n_sc, n_blocks=x.shape[1] // 2, n_rx=cfg.n_rx)
@@ -113,8 +117,9 @@ def _detect_alamouti(cfg: SimConfig, frames: np.ndarray, snr_db: float,
             out = realzf_detect(h, y)
         else:
             out = zf_detect(build_effective(h, y))
-        est[p : p + len(y)] = out.estimates.transpose(0, 2, 1)
-    return est.reshape(n_slots, n_sc), redraws
+        est = out.estimates.transpose(0, 2, 1).reshape(-1)[: len(tile)]
+        hard[start : start + len(tile)] = modem.demap_symbols(est, c).reshape(tile.shape)
+    return hard, redraws
 
 
 def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tuple[int, int, int]:
@@ -134,16 +139,10 @@ def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tu
         coded = np.concatenate(
             [coded, np.zeros(coded.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1
         )
-    symbols = modem.map_bits(coded, c)
-    # past framing only the symbols' shape is needed
-    symbols_shape, n_symbols = symbols.shape, symbols.size
-    frames = _frame_grid(symbols.reshape(-1), cfg.n_subcarriers)
-    del symbols
-    est, redraws = _detect_alamouti(cfg, frames, effective_es_n0_db(cfg, c, snr_db), rng)
-    del frames
+    groups = coded.reshape(-1, c.bits_per_symbol)
+    hard, redraws = _detect_alamouti(cfg, c, groups, effective_es_n0_db(cfg, c, snr_db), rng)
 
-    est_stream = est.reshape(-1)[:n_symbols].reshape(symbols_shape)
-    rx_coded = modem.demap_symbols(est_stream, c)[..., :coded_len]
+    rx_coded = hard.reshape(coded.shape)[..., :coded_len]
     rx_bits = viterbi_decode(rx_coded) if cfg.fec else rx_coded
     rx_payload = despread(rx_bits) if cfg.spreading else rx_bits
 

@@ -337,9 +337,12 @@ class TestRedraws:
         assert np.array_equal(redrawn[0], h[0])  # healthy blocks untouched
 
 
-def detect_alamouti_untiled(cfg, frames, snr_db, rng, scale_stream=False):
-    """The whole-frame link from its public stages: one call of each over
-    every (pair, subcarrier) block at once, on the three child streams.
+def detect_alamouti_untiled(cfg, c, groups, snr_db, rng, scale_stream=False):
+    """The whole-stream link from its public stages: the bit groups mapped
+    with ``map_bits``, zero-padded to whole slot pairs of frames, and one
+    call of each stage over every (pair, subcarrier) block at once, on the
+    three child streams.  Returns the estimates of the groups' symbols in
+    stream order and the redraw count.
 
     Under ``split_tx_power`` the gains are scaled once, before the mix, as
     the engine does; ``scale_stream`` instead scales the STBC output and,
@@ -349,13 +352,16 @@ def detect_alamouti_untiled(cfg, frames, snr_db, rng, scale_stream=False):
     from mclink.mimo import build_effective, realzf_detect, stbc_encode, zf_detect
     from mclink.ofdm import ofdm_demodulate, ofdm_modulate
 
+    symbols = modem.map_bits(groups.reshape(-1), c)
+    n_sc = cfg.n_subcarriers
+    frames = np.zeros((-(-symbols.size // (2 * n_sc)) * 2, n_sc), dtype=complex)
+    frames.reshape(-1)[: symbols.size] = symbols
     gain_rng, noise_rng, redraw_rng = rng.spawn(3)
     amp = 1.0 / math.sqrt(2.0) if cfg.split_tx_power else 1.0
     stream_amp, gain_amp = (amp, 1.0) if scale_stream else (1.0, amp)
     x = ofdm_modulate(stbc_encode(frames) * stream_amp, cfg.cp_len)
     x_freq = ofdm_demodulate(x, cfg.cp_len)
-    n_slots = frames.shape[0]
-    h = draw_channel(gain_rng, cfg.n_subcarriers, n_blocks=n_slots // 2, n_rx=cfg.n_rx)
+    h = draw_channel(gain_rng, n_sc, n_blocks=frames.shape[0] // 2, n_rx=cfg.n_rx)
     redraws = _redraw_weak_blocks(h, redraw_rng)
     y = apply_channel(x_freq, h * gain_amp, NoiseConfig(snr_db), noise_rng)
     h *= amp  # the gains the detector sees
@@ -363,13 +369,41 @@ def detect_alamouti_untiled(cfg, frames, snr_db, rng, scale_stream=False):
         out = realzf_detect(h, y)
     else:
         out = zf_detect(build_effective(h, y))
-    return out.estimates.transpose(0, 2, 1).reshape(n_slots, cfg.n_subcarriers), redraws
+    return out.estimates.transpose(0, 2, 1).reshape(-1)[: symbols.size], redraws
+
+
+def detect_tiled(monkeypatch, cfg, c, groups, snr_db, rng):
+    """``engine._detect_alamouti`` and the estimates it hands the demapper,
+    joined into one stream in symbol order: (estimates, hard bits, redraws)."""
+    from mclink import engine
+
+    demap = modem.demap_symbols
+    seen = []
+
+    def record(symbols, c):
+        seen.append(np.array(symbols))
+        return demap(symbols, c)
+
+    monkeypatch.setattr(modem, "demap_symbols", record)
+    try:
+        hard, redraws = engine._detect_alamouti(cfg, c, groups, snr_db, rng)
+    finally:
+        monkeypatch.setattr(modem, "demap_symbols", demap)
+    return np.concatenate(seen), hard, redraws
+
+
+def random_groups(seed, n_symbols, c):
+    """Random coded bits, one row of ``c.bits_per_symbol`` per symbol."""
+    return np.random.default_rng(seed).integers(
+        0, 2, (n_symbols, c.bits_per_symbol), dtype=np.uint8)
 
 
 class TestTiledDetection:
     # (subcarriers, slot pairs): a tile holds 292 and 8 pairs of the first two
     # frames, neither pair count a multiple of that, and one pair of the
-    # 2500-subcarrier frame, which is wider than a tile
+    # 2500-subcarrier frame, which is wider than a tile.  The stream stops
+    # one symbol into the last pair's second slot, so the last tile is
+    # zero-padded.
     FRAMES = [(7, 301), (256, 21), (2500, 3)]
 
     @pytest.mark.parametrize("n_sc,n_pairs", FRAMES)
@@ -378,50 +412,53 @@ class TestTiledDetection:
     @pytest.mark.parametrize("split", [False, True])
     def test_estimates_equal_untiled(self, monkeypatch, n_sc, n_pairs, detector, n_rx, split):
         from mclink import engine
-        from mclink.channel import complex_normal
 
         step = max(1, engine.TILE_BLOCKS // n_sc)
         assert n_pairs > step and (n_pairs % step or step == 1)
         cfg = fast_profile(n_subcarriers=n_sc, cp_len=min(16, n_sc), detector=detector,
                            n_rx=n_rx, split_tx_power=split)
-        frames = complex_normal(np.random.default_rng(n_sc), (2 * n_pairs, n_sc))
+        c = modem.get_constellation("16qam")
+        n_symbols = (2 * n_pairs - 1) * n_sc + 1
+        groups = random_groups(n_sc, n_symbols, c)
 
         def detect(tile_blocks):
             monkeypatch.setattr(engine, "TILE_BLOCKS", tile_blocks)
             rng = np.random.default_rng(40)
-            est, redraws = engine._detect_alamouti(cfg, frames, 3.0, rng)
-            return est, redraws, rng.standard_normal()
+            est, hard, redraws = detect_tiled(monkeypatch, cfg, c, groups, 3.0, rng)
+            return est, hard, redraws, rng.standard_normal()
 
-        est, redraws, position = detect(engine.TILE_BLOCKS)
+        est, hard, redraws, position = detect(engine.TILE_BLOCKS)
+        assert est.shape == (n_symbols,) and hard.shape == groups.shape
         # one slot pair per tile, and the whole frame in one tile
         for tile_blocks in (1, n_pairs * n_sc):
-            ref, ref_redraws, ref_position = detect(tile_blocks)
-            assert est.shape == ref.shape == frames.shape
+            ref, ref_hard, ref_redraws, ref_position = detect(tile_blocks)
             assert np.array_equal(est, ref)
+            assert np.array_equal(hard, ref_hard)
             assert redraws == ref_redraws
             assert position == ref_position
-        # and the whole-frame link from the public stages
+        # and the whole-stream link from the public stages
         rng = np.random.default_rng(40)
-        ref, ref_redraws = detect_alamouti_untiled(cfg, frames, 3.0, rng)
+        ref, ref_redraws = detect_alamouti_untiled(cfg, c, groups, 3.0, rng)
         assert np.array_equal(est, ref)
+        assert np.array_equal(hard, modem.demap_symbols(ref, c).reshape(groups.shape))
         assert redraws == ref_redraws
         assert position == rng.standard_normal()
 
     @pytest.mark.parametrize("detector", ["zf", "realzf"])
     @pytest.mark.parametrize("n_rx", [1, 4])
-    def test_split_power_scaling_the_gains_matches_scaling_the_stream(self, detector, n_rx):
-        from mclink import engine
-        from mclink.channel import complex_normal
-
+    def test_split_power_scaling_the_gains_matches_scaling_the_stream(
+            self, monkeypatch, detector, n_rx):
         # 40 slot pairs of 64 subcarriers: two tiles, of 32 and 8 pairs
         cfg = fast_profile(n_subcarriers=64, cp_len=16, detector=detector,
                            n_rx=n_rx, split_tx_power=True)
-        frames = complex_normal(np.random.default_rng(3), (80, 64))
-        est, redraws = engine._detect_alamouti(cfg, frames, 3.0, np.random.default_rng(40))
+        c = modem.get_constellation("16qam")
+        groups = random_groups(3, 80 * 64, c)
+        est, _, redraws = detect_tiled(monkeypatch, cfg, c, groups, 3.0,
+                                       np.random.default_rng(40))
         # the order before the gains took the scaling: the STBC output scaled
         # by 1/sqrt(2), then the same factor on the gains the detector sees
         ref, ref_redraws = detect_alamouti_untiled(
-            cfg, frames, 3.0, np.random.default_rng(40), scale_stream=True)
+            cfg, c, groups, 3.0, np.random.default_rng(40), scale_stream=True)
         assert redraws == ref_redraws
         assert np.allclose(est, ref, rtol=0.0, atol=1e-12)
 
@@ -429,8 +466,9 @@ class TestTiledDetection:
         from mclink import channel, engine
 
         cfg = fast_profile(n_subcarriers=64, cp_len=16)
+        c = modem.get_constellation("16qam")
         n_pairs = 40  # two tiles, of 32 and 8 slot pairs
-        frames = channel.complex_normal(np.random.default_rng(2), (2 * n_pairs, 64))
+        groups = random_groups(2, 2 * n_pairs * 64, c)
         real_normal, real_draw, real_apply = (
             channel.complex_normal, channel.draw_channel, channel.apply_channel)
 
@@ -457,8 +495,9 @@ class TestTiledDetection:
             monkeypatch.setattr(channel, "complex_normal", record_normal)
             monkeypatch.setattr(engine, "draw_channel", draw)
             monkeypatch.setattr(engine, "apply_channel", apply)
-            est, redraws = engine._detect_alamouti(cfg, frames, 3.0, np.random.default_rng(40))
-            return draws, np.concatenate(gains), est, redraws
+            est, _, redraws = detect_tiled(monkeypatch, cfg, c, groups, 3.0,
+                                           np.random.default_rng(40))
+            return draws, np.concatenate(gains), est.reshape(2 * n_pairs, 64), redraws
 
         draws, gains, est, redraws = run(inject=False)
         hit_draws, hit_gains, hit_est, hit_redraws = run(inject=True)
@@ -477,6 +516,62 @@ class TestTiledDetection:
         moved[2 * (32 + 3) : 2 * (32 + 3) + 2, 5] = True
         assert np.array_equal(hit_est[~moved], est[~moved])
         assert not np.array_equal(hit_est[moved], est[moved])
+
+
+def run_chunk_untiled(cfg, modulation, snr_db, chunk):
+    """``_run_chunk`` from the public stages, with the whole chunk's link in
+    one pass; returns (bits, errors, redraws) and the decoder's input."""
+    from mclink.bits import PRBS_DEGREE, Prbs, conv_encode, despread, spread, viterbi_decode
+    from mclink.engine import _chunk_seed
+
+    c = modem.get_constellation(modulation)
+    rng = np.random.default_rng(_chunk_seed(cfg.seed, c.name, snr_db, chunk))
+    payload = Prbs(int(rng.integers(1, 1 << PRBS_DEGREE))).generate(cfg.chunk_payload_bits)
+    payload = payload.reshape(cfg.frames_per_chunk, cfg.frame_payload_bits)
+    coded = conv_encode(spread(payload))
+    coded_len = coded.shape[-1]
+    pad = np.zeros((cfg.frames_per_chunk, -coded_len % c.bits_per_symbol), dtype=np.uint8)
+    coded = np.concatenate([coded, pad], axis=-1)
+    est, redraws = detect_alamouti_untiled(cfg, c, coded, effective_es_n0_db(cfg, c, snr_db), rng)
+    rx_coded = modem.demap_symbols(est, c).reshape(coded.shape)[:, :coded_len]
+    errors = int(np.count_nonzero(despread(viterbi_decode(rx_coded)) != payload))
+    return (payload.size, errors, redraws), rx_coded
+
+
+class TestChunkTiling:
+    # 300 subcarriers: a default tile is 6 slot pairs, 3,600 symbols, which
+    # cuts across the frame rows (1,602 QPSK symbols each) and leaves a
+    # partial last tile; 2,500 subcarriers are wider than a tile.  32qam's
+    # 3,204 coded bits per row take one pad bit.
+    @pytest.mark.parametrize("n_sc", [300, 2500])
+    @pytest.mark.parametrize("modulation", modem.SCHEMES)
+    def test_chunk_results_do_not_depend_on_tiling(self, monkeypatch, modulation, n_sc):
+        from mclink import engine
+
+        cfg = fast_profile(n_subcarriers=n_sc, cp_len=16, frame_payload_bits=200,
+                           frames_per_chunk=10, seed=8)
+        decode = engine.viterbi_decode
+
+        def run(tile_blocks):
+            seen = []
+
+            def record(bits):
+                seen.append(np.array(bits))
+                return decode(bits)
+
+            monkeypatch.setattr(engine, "TILE_BLOCKS", tile_blocks)
+            monkeypatch.setattr(engine, "viterbi_decode", record)
+            return engine._run_chunk(cfg, modulation, -5.0, 3), seen[0]
+
+        result, rx_coded = run(engine.TILE_BLOCKS)
+        assert result[1] > 0  # the comparison counts real errors
+        for tile_blocks in (1, 10**9):
+            ref, ref_coded = run(tile_blocks)
+            assert ref == result
+            assert np.array_equal(ref_coded, rx_coded)
+        ref, ref_coded = run_chunk_untiled(cfg, modulation, -5.0, 3)
+        assert ref == result
+        assert np.array_equal(ref_coded, rx_coded)
 
 
 def mrc_rayleigh_ber(snr_db: float, branches: int) -> float:
@@ -517,10 +612,11 @@ class TestAnalyticOracle:
 class TestChunkMemory:
     # Bounds, not figures: one benchmark-sized chunk peaked at 37.66 MiB
     # (qpsk) and 13.99 MiB (64qam) of traced numpy memory while the receive
-    # path held chunk-sized gains and received samples, and at 9.49 and
-    # 5.41 MiB once the link runs tile by tile; each bound is about 15% above
-    # the second figure.
-    PEAK_MIB = {"qpsk": 11.0, "64qam": 6.2}
+    # path held chunk-sized gains and received samples, at 9.49 and 5.41 MiB
+    # once the link ran tile by tile between chunk-sized symbols and
+    # estimates, and at 3.87 MiB on both once each tile runs from bits to
+    # bits; each bound is about 15% above the last figure.
+    PEAK_MIB = {"qpsk": 4.5, "64qam": 4.5}
 
     def chunk_peak_mib(self, modulation):
         import tracemalloc
