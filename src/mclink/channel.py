@@ -74,14 +74,17 @@ def apply_channel(x: np.ndarray, h: np.ndarray, noise: NoiseConfig,
             "(2, 2 * n_blocks, n_sc) and (n_blocks, n_sc, n_rx, 2)"
         )
     n_blocks, n_sc, n_rx, _ = h.shape
-    # antenna i's slots as (n_blocks, n_sc, 1, 2) times its gain column, (..., n_rx, 1)
-    xb = x.reshape(2, n_blocks, 2, n_sc).transpose(0, 1, 3, 2)[:, :, :, None, :]
-    y = h[..., 0:1] * xb[0]
-    y += h[..., 1:2] * xb[1]
+    # the mix in the noise's draw layout (n_blocks, n_rx, 2, n_sc), so every
+    # product runs along the subcarriers: antenna i's gains (n_blocks, n_rx,
+    # 1, n_sc) times its slots (n_blocks, 1, 2, n_sc)
+    g = h.transpose(3, 0, 2, 1)[:, :, :, None, :]
+    xb = x.reshape(2, n_blocks, 1, 2, n_sc)
+    y = g[0] * xb[0]
+    y += g[1] * xb[1]
     if noise.sigma2 > 0.0:
         # CN(0, sigma2) noise drawn pair-major, so calls on consecutive runs
         # of slot pairs draw what one call on all of them would
-        n = complex_normal(rng, (n_blocks, n_rx, 2, n_sc))
+        n = complex_normal(rng, y.shape)
         n *= np.sqrt(noise.sigma2)
-        y += n.transpose(0, 3, 1, 2)
-    return y
+        y += n
+    return y.transpose(0, 3, 1, 2)

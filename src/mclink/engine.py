@@ -75,8 +75,8 @@ def _redraw_weak_blocks(h: np.ndarray, rng: np.random.Generator) -> int:
     total = 0
     while True:
         # per-block channel energy, the sum of |h|^2 over its n_rx x 2 gains
-        hb = h.reshape(h.shape[:-2] + (-1,))
-        bad = ~(np.vecdot(hb, hb).real > GRAM_FLOOR)
+        energy = (np.square(h.real) + np.square(h.imag)).sum(axis=(-2, -1))
+        bad = ~(energy > GRAM_FLOOR)
         n_bad = int(np.count_nonzero(bad))
         if n_bad == 0:
             return total

@@ -70,15 +70,16 @@ def alamouti_effective(h: np.ndarray) -> np.ndarray:
     """
     h = np.asarray(h)
     n_rx = h.shape[-2]
-    h1 = h[..., 0]
-    h2 = h[..., 1]
-    heff = np.empty(h.shape[:-2] + (2 * n_rx, 2), dtype=complex)
-    heff[..., 0::2, 0] = h1
-    heff[..., 0::2, 1] = h2
-    np.conjugate(h2, out=heff[..., 1::2, 0])
-    np.conjugate(h1, out=heff[..., 1::2, 1])
-    np.negative(heff[..., 1::2, 1], out=heff[..., 1::2, 1])
-    return heff
+    # the result is a view of a (column, row, ...) buffer, and each copy
+    # below runs along the blocks
+    h1, h2 = np.moveaxis(h, (-2, -1), (1, 0))
+    heff = np.empty((2, 2 * n_rx) + h.shape[:-2], dtype=complex)
+    heff[0, 0::2] = h1
+    heff[1, 0::2] = h2
+    np.conjugate(h2, out=heff[0, 1::2])
+    np.conjugate(h1, out=heff[1, 1::2])
+    np.negative(heff[1, 1::2], out=heff[1, 1::2])
+    return np.moveaxis(heff, (0, 1), (-1, -2))
 
 
 def build_effective(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,10 +88,11 @@ def build_effective(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if np.shape(h)[-1] != 2 or np.shape(y)[-1] != 2:
         raise ValueError("expected 2 transmit streams and 2 time slots")
     y = np.asarray(y)
-    y_eff = np.empty(y.shape[:-2] + (2 * y.shape[-2],), dtype=complex)
-    y_eff[..., 0::2] = y[..., 0]
-    np.conjugate(y[..., 1], out=y_eff[..., 1::2])
-    return alamouti_effective(h), y_eff
+    y1, y2 = np.moveaxis(y, (-2, -1), (1, 0))
+    y_eff = np.empty((2 * y.shape[-2],) + y.shape[:-2], dtype=complex)
+    y_eff[0::2] = y1
+    np.conjugate(y2, out=y_eff[1::2])
+    return alamouti_effective(h), np.moveaxis(y_eff, 0, -1)
 
 
 def zf_weights(h_eff: np.ndarray) -> np.ndarray:
@@ -103,13 +105,13 @@ def zf_weights(h_eff: np.ndarray) -> np.ndarray:
     h_eff = np.asarray(h_eff, dtype=complex)
     if h_eff.shape[-1] != 2:
         raise ValueError("weights are defined for 2 transmit streams")
-    # contiguous column copies keep every ufunc below on long inner loops
-    h0 = h_eff[..., 0].copy()
-    h1 = h_eff[..., 1].copy()
+    # the columns with the row axis first, (2*n_rx, ...): every ufunc below
+    # runs along the blocks, and the sums over rows add whole block arrays
+    h0, h1 = np.moveaxis(h_eff, (-2, -1), (1, 0))
     # Gram entries; g00 and g11 are real and g10 = conj(g01)
-    g00 = np.vecdot(h0, h0).real
-    g11 = np.vecdot(h1, h1).real
-    g01 = np.vecdot(h0, h1)
+    g00 = np.square(h0.real).sum(0) + np.square(h0.imag).sum(0)
+    g11 = np.square(h1.real).sum(0) + np.square(h1.imag).sum(0)
+    g01 = (np.conj(h0) * h1).sum(0)
     det = np.asarray(g00 * g11 - (g01.real * g01.real + g01.imag * g01.imag))
     tr2 = (g00 + g11) ** 2
     # det cancels to a few ulp of tr**2, as large as the cap's floor, so
@@ -117,9 +119,9 @@ def zf_weights(h_eff: np.ndarray) -> np.ndarray:
     # sum_{i<j} |h0_i h1_j - h0_j h1_i|**2, each minor exact to an ulp of |h|**2
     near = det <= _DET_RECHECK * tr2
     if np.any(near):
-        a, b = h0[near], h1[near]
-        minors = a[:, :, None] * b[:, None, :] - a[:, None, :] * b[:, :, None]
-        det[near] = (minors.real**2 + minors.imag**2).sum(axis=(-2, -1)) / 2
+        a, b = h0[:, near], h1[:, near]
+        minors = a[:, None] * b - a * b[:, None]
+        det[near] = (minors.real**2 + minors.imag**2).sum(axis=(0, 1)) / 2
     # <= also refuses the all-zero block, where det = tr = 0
     bad = det <= _DET_FLOOR * tr2
     if np.any(bad):
@@ -129,23 +131,25 @@ def zf_weights(h_eff: np.ndarray) -> np.ndarray:
         )
     # (H^H H)^-1 = [[g11, -g01], [-g10, g00]] / det; row i of W is
     # conj(sum_k conj(inv[i, k]) h_k), and conj(inv[0, 1]) = inv[1, 0].
-    # The column copies are scaled in place once they are no longer needed.
-    a01 = (-g01 / det)[..., None]
+    # W is a view of a (row, column, ...) buffer.
+    a01 = -g01 / det
     w = np.empty((2,) + h0.shape, dtype=complex)
-    np.multiply(h0, (g11 / det)[..., None], out=w[0])
-    np.multiply(h1, (g00 / det)[..., None], out=w[1])
-    h0 *= a01
-    h1 *= np.conj(a01)
-    w[0] += h1
-    w[1] += h0
+    np.multiply(h0, g11 / det, out=w[0])
+    np.multiply(h1, g00 / det, out=w[1])
+    w[0] += h1 * np.conj(a01)
+    w[1] += h0 * a01
     np.conjugate(w, out=w)
-    return np.moveaxis(w, 0, -2)
+    return np.moveaxis(w, (0, 1), (-2, -1))
 
 
 def zf_detect(eff: tuple[np.ndarray, np.ndarray]) -> DetectorOutput:
     """Apply the pseudo-inverse weights to the stacked receive vector."""
     h_eff, y_eff = eff
-    return DetectorOutput(np.einsum("...ij,...j->...i", zf_weights(h_eff), y_eff))
+    # weights (2, 2*n_rx, ...) times the receive vector (2*n_rx, ...), summed
+    # over its rows block array by block array
+    w = np.moveaxis(zf_weights(h_eff), (-2, -1), (0, 1))
+    prod = w * np.moveaxis(y_eff, -1, 0)
+    return DetectorOutput(np.moveaxis(prod.sum(axis=1), 0, -1))
 
 
 def real_decomposition(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

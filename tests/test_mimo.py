@@ -275,3 +275,107 @@ def test_full_noiseless_transparency_through_channel_module():
     out = zf_detect(build_effective(h, y))
     est_frames = out.estimates.transpose(0, 2, 1).reshape(2 * n_blocks, n_sc)
     assert np.max(np.abs(est_frames - frames)) < 1e-9
+
+
+def effective_reference(h, y):
+    """``build_effective`` by index assignment in the inputs' own layout."""
+    n_rx = h.shape[-2]
+    h_eff = np.empty(h.shape[:-2] + (2 * n_rx, 2), dtype=complex)
+    h_eff[..., 0::2, 0], h_eff[..., 0::2, 1] = h[..., 0], h[..., 1]
+    h_eff[..., 1::2, 0], h_eff[..., 1::2, 1] = np.conj(h[..., 1]), -np.conj(h[..., 0])
+    y_eff = np.empty(y.shape[:-2] + (2 * n_rx,), dtype=complex)
+    y_eff[..., 0::2], y_eff[..., 1::2] = y[..., 0], np.conj(y[..., 1])
+    return h_eff, y_eff
+
+
+def zf_weights_reference(h_eff):
+    """The Gram matrix by ``vecdot`` over the rows and its 2x2 adjugate."""
+    h0, h1 = h_eff[..., 0], h_eff[..., 1]
+    g00, g11, g01 = np.vecdot(h0, h0).real, np.vecdot(h1, h1).real, np.vecdot(h0, h1)
+    det = (g00 * g11 - np.abs(g01) ** 2)[..., None]
+    w0 = (g11[..., None] * np.conj(h0) - g01[..., None] * np.conj(h1)) / det
+    w1 = (g00[..., None] * np.conj(h1) - np.conj(g01)[..., None] * np.conj(h0)) / det
+    return np.stack([w0, w1], axis=-2)
+
+
+def layouts(rng, n_rx):
+    """Gains and received slots of shape (5, 3, n_rx, 2) in three memory
+    layouts: C order, the channel's draw layout (slot pairs, antennas,
+    columns, subcarriers) seen through a transpose, and the first axis
+    broadcast with stride 0."""
+    shape = (5, 3, n_rx, 2)
+    return {
+        "c_order": [complex_normal(rng, shape) for _ in range(2)],
+        "transposed": [complex_normal(rng, (5, n_rx, 2, 3)).transpose(0, 3, 1, 2)
+                       for _ in range(2)],
+        "broadcast": [np.broadcast_to(complex_normal(rng, (1, 3, n_rx, 2)), shape)
+                      for _ in range(2)],
+    }
+
+
+class TestBlockLayouts:
+    # each kernel computes with the matrix axes leading, whatever the
+    # inputs' memory layout, and returns its documented shape
+    @pytest.mark.parametrize("n_rx", [1, 2, 3, 4])
+    def test_kernels_equal_references_on_every_layout(self, n_rx):
+        rng = np.random.default_rng(50 + n_rx)
+        for name, (h, y) in layouts(rng, n_rx).items():
+            h_eff, y_eff = build_effective(h, y)
+            ref_h, ref_y = effective_reference(h, y)
+            assert h_eff.shape == (5, 3, 2 * n_rx, 2) and y_eff.shape == (5, 3, 2 * n_rx), name
+            assert np.array_equal(h_eff, ref_h) and np.array_equal(y_eff, ref_y), name
+            assert np.array_equal(alamouti_effective(h), ref_h), name
+            w = zf_weights(h_eff)
+            assert w.shape == (5, 3, 2, 2 * n_rx), name
+            assert np.max(np.abs(w - zf_weights_reference(ref_h))) <= 1e-12, name
+            assert np.max(np.abs(w - np.linalg.pinv(ref_h))) <= 1e-12, name
+            est = zf_detect((h_eff, y_eff)).estimates
+            assert est.shape == (5, 3, 2), name
+            ref_est = np.einsum("...ij,...j->...i", np.linalg.pinv(ref_h), ref_y)
+            assert np.max(np.abs(est - ref_est)) <= 1e-12, name
+            # the weights of C-ordered stacked inputs are the same
+            assert np.max(np.abs(zf_weights(np.ascontiguousarray(h_eff)) - w)) <= 1e-12, name
+
+    @pytest.mark.parametrize("n_rx", [1, 4])
+    def test_single_block(self, n_rx):
+        rng = np.random.default_rng(60 + n_rx)
+        h, y = complex_normal(rng, (n_rx, 2)), complex_normal(rng, (n_rx, 2))
+        h_eff, y_eff = build_effective(h, y)
+        assert h_eff.shape == (2 * n_rx, 2) and y_eff.shape == (2 * n_rx,)
+        w = zf_weights(h_eff)
+        assert w.shape == (2, 2 * n_rx)
+        assert np.max(np.abs(w - np.linalg.pinv(h_eff))) <= 1e-12
+        assert np.max(np.abs(w - zf_weights_reference(h_eff))) <= 1e-12
+        est = zf_detect((h_eff, y_eff)).estimates
+        assert est.shape == (2,)
+        assert np.max(np.abs(est - np.linalg.pinv(h_eff) @ y_eff)) <= 1e-12
+        # a random 8x2 block, no Alamouti structure
+        h8 = complex_normal(rng, (8, 2))
+        assert np.max(np.abs(zf_weights(h8) - np.linalg.pinv(h8))) <= 1e-12
+
+    def test_near_singular_blocks_judged_by_exact_det(self):
+        # 8x2 blocks in a draw layout, (column, row, block), whose second
+        # column is a multiple of the first plus a perturbation of 1e-9.5 to
+        # 1e-6.5: condition numbers spread across the 1e8 cap.  The
+        # cancelling determinant misjudges blocks near the cap; the exact one
+        # accepts every block clearly below it and refuses every block
+        # clearly above it, in one batch
+        rng = np.random.default_rng(17)
+        n = 400
+        h = complex_normal(rng, (2, 8, n))
+        h[1] = (0.3 + 0.7j) * h[0] + 10.0 ** rng.uniform(-9.5, -6.5, n) * complex_normal(rng, (8, n))
+        cond = np.linalg.cond(h.transpose(2, 1, 0))
+        below, above = cond < 0.9e8, cond > 1.1e8
+        assert below.sum() > 100 and above.sum() > 100
+        w = zf_weights(h[..., below].transpose(2, 1, 0))
+        assert w.shape == (below.sum(), 2, 8)
+        with pytest.raises(SingularChannelError, match=f"^{above.sum()} channel block"):
+            zf_weights(h[..., below | above].transpose(2, 1, 0))
+
+    def test_rank_one_blocks_refused_in_a_batch(self):
+        rng = np.random.default_rng(18)
+        h = complex_normal(rng, (2, 8, 300))
+        rank_one = rng.random(300) < 0.5
+        h[1][:, rank_one] = (0.3 + 0.7j) * h[0][:, rank_one]
+        with pytest.raises(SingularChannelError, match=f"^{rank_one.sum()} channel block"):
+            zf_weights(h.transpose(2, 1, 0))
