@@ -6,16 +6,18 @@ constant over the block's two time slots (quasi-static).  Noise is i.i.d.
 across antennas, slots and subcarriers with variance sigma2 per complex
 sample.
 
-Both draws are pair-major: gains as (n_blocks, n_subcarriers, n_rx, 2) and
-noise as (n_blocks, n_rx, 2, n_subcarriers), each sample's real part drawn
-before its imaginary part.  Drawing consecutive runs of slot pairs therefore
-consumes a stream exactly as one draw over all of them, so a caller may run
-the link a tile of slot pairs at a time and get the same bytes for any tile.
+Both draws are pair-major, as (n_blocks, n_rx, 2, n_subcarriers) with the 2
+the transmit antenna (gains) or the slot (noise), each sample's real part
+drawn before its imaginary part.  Drawing consecutive runs of slot pairs
+therefore consumes a stream exactly as one draw over all of them, so a
+caller may run the link a tile of slot pairs at a time and get the same
+bytes for any tile.
 
-Received samples take the gains' block layout, (n_blocks, n_subcarriers,
-n_rx, 2) with the slot last: each block is y = H a + n, with the n_rx x 2
-received slots beside the n_rx x 2 gain matrix H, which is how both
-detectors read a block.
+Gains and received samples have the shape (n_blocks, n_subcarriers, n_rx, 2):
+each block is y = H a + n, with the n_rx x 2 received slots beside the
+n_rx x 2 gain matrix H, which is how both detectors read a block.  Both are
+transposed views of the draw layout, so in memory the subcarriers stay
+innermost and the mix and the detector's ufuncs run along them.
 """
 from __future__ import annotations
 
@@ -53,8 +55,8 @@ def draw_channel(rng: np.random.Generator, n_subcarriers: int, n_blocks: int,
                  n_rx: int = 4) -> np.ndarray:
     """Independent fading per block and subcarrier: gains with shape
     (n_blocks, n_subcarriers, n_rx, 2), where h[..., j, i] links transmit
-    antenna i to receive antenna j."""
-    return complex_normal(rng, (n_blocks, n_subcarriers, n_rx, 2))
+    antenna i to receive antenna j; a view of the draw layout."""
+    return complex_normal(rng, (n_blocks, n_rx, 2, n_subcarriers)).transpose(0, 3, 1, 2)
 
 
 def apply_channel(x: np.ndarray, h: np.ndarray, noise: NoiseConfig,
@@ -65,7 +67,8 @@ def apply_channel(x: np.ndarray, h: np.ndarray, noise: NoiseConfig,
     (2, n_slots, n_subcarriers), and ``h`` one gain matrix per slot pair,
     i.e. n_slots = 2 * n_blocks.  Returns the received samples in h's shape,
     (n_blocks, n_subcarriers, n_rx, 2), the last axis being the slot, so
-    each block's slots sit beside its gains as the detectors read them.
+    each block's slots sit beside its gains as the detectors read them; a
+    view of the noise's draw layout.
     """
     x = np.asarray(x)
     if h.ndim != 4 or h.shape[-1] != 2 or x.shape != (2, 2 * h.shape[0], h.shape[1]):

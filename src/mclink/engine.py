@@ -12,15 +12,16 @@ the channel acts on the frequency-domain symbols directly; the multicarrier
 transform round-trips every sample to keep the chain faithful and the energy
 bookkeeping exact.
 
-Work is split into fixed-size chunks of whole FEC frames.  Each chunk derives
-its own RNG substream from (seed, modulation, SNR, chunk index), and the stop
-rule consumes chunks strictly in index order, which makes every output
+Work is split into fixed-size chunks of whole FEC frames.  Each chunk seeds
+its own SFC64 generator from (seed, modulation, SNR, chunk index), and the
+stop rule consumes chunks strictly in index order, which makes every output
 independent of worker count and scheduling.  A chunk's stream draws the
 source seed, then spawns three children: the fading gains, the noise and the
-weak-block redraws.  Gains and noise are drawn pair-major (see ``channel``),
-so the link runs one tile of slot pairs at a time, from mapping to
-demapping, and its bytes do not depend on the tile size.  A chunk holds its
-bits, coded and hard-decided, and no complex array larger than one tile.
+weak-block redraws.  Gains and noise are drawn pair-major, both as (slot
+pair, receive antenna, 2, subcarrier) (see ``channel``), so the link runs
+one tile of slot pairs at a time, from mapping to demapping, and its bytes
+do not depend on the tile size.  A chunk holds its bits, coded and
+hard-decided, and no complex array larger than one tile.
 """
 from __future__ import annotations
 
@@ -43,8 +44,10 @@ GRAM_FLOOR = 1e-12
 
 #: Alamouti blocks (subcarrier x slot pair) per tile of the link.  With 4
 #: receive antennas a tile's gains, stacked channel and ZF weights are
-#: 256-512 KiB each, so its working set stays near a 2 MiB per-core L2 cache.
-#: A tile holds whole slot pairs, at least one.
+#: 256-512 KiB each, so its working set stays near a 2 MiB per-core L2 cache;
+#: each of their ufuncs runs along the tile's blocks, a few hundred
+#: contiguous subcarriers per slot pair.  A tile holds whole slot pairs, at
+#: least one.
 TILE_BLOCKS = 2048
 
 # glibc gives the heap's free top back to the kernel above twice the largest
@@ -55,11 +58,13 @@ TILE_BLOCKS = 2048
 np.empty(8 << 20, dtype=np.uint8)
 
 
-def _chunk_seed(seed: int, modulation: str, snr_db: float, chunk: int) -> np.random.SeedSequence:
+def _chunk_rng(seed: int, modulation: str, snr_db: float, chunk: int) -> np.random.Generator:
+    """The chunk's generator: SFC64 seeded from (seed, modulation, SNR, chunk)."""
     name_word = int.from_bytes(modulation.encode("ascii"), "big")
     # + 0.0 maps -0.0 to 0.0, so both name the same grid point and stream
     snr_word = int(np.float64(snr_db + 0.0).view(np.uint64))
-    return np.random.SeedSequence([seed, name_word, snr_word, chunk])
+    seq = np.random.SeedSequence([seed, name_word, snr_word, chunk])
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def effective_es_n0_db(cfg: SimConfig, c: modem.Constellation, snr_db: float) -> float:
@@ -125,7 +130,7 @@ def _detect_alamouti(cfg: SimConfig, c: modem.Constellation, groups: np.ndarray,
 def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tuple[int, int, int]:
     """One deterministic batch of frames; returns (bits, errors, redraws)."""
     c = modem.get_constellation(modulation)
-    rng = np.random.default_rng(_chunk_seed(cfg.seed, c.name, snr_db, chunk))
+    rng = _chunk_rng(cfg.seed, c.name, snr_db, chunk)
 
     source = Prbs(int(rng.integers(1, 1 << PRBS_DEGREE)))
     payload = source.generate(cfg.chunk_payload_bits)

@@ -70,8 +70,7 @@ def alamouti_effective(h: np.ndarray) -> np.ndarray:
     """
     h = np.asarray(h)
     n_rx = h.shape[-2]
-    # the result is a view of a (column, row, ...) buffer, and each copy
-    # below runs along the blocks
+    # a view of a (column, row, ...) buffer: each copy runs along the blocks
     h1, h2 = np.moveaxis(h, (-2, -1), (1, 0))
     heff = np.empty((2, 2 * n_rx) + h.shape[:-2], dtype=complex)
     heff[0, 0::2] = h1
@@ -145,11 +144,9 @@ def zf_weights(h_eff: np.ndarray) -> np.ndarray:
 def zf_detect(eff: tuple[np.ndarray, np.ndarray]) -> DetectorOutput:
     """Apply the pseudo-inverse weights to the stacked receive vector."""
     h_eff, y_eff = eff
-    # weights (2, 2*n_rx, ...) times the receive vector (2*n_rx, ...), summed
-    # over its rows block array by block array
+    # weights (2, 2*n_rx, ...) times the receive vector (2*n_rx, ...)
     w = np.moveaxis(zf_weights(h_eff), (-2, -1), (0, 1))
-    prod = w * np.moveaxis(y_eff, -1, 0)
-    return DetectorOutput(np.moveaxis(prod.sum(axis=1), 0, -1))
+    return DetectorOutput(np.moveaxis((w * np.moveaxis(y_eff, -1, 0)).sum(axis=1), 0, -1))
 
 
 def real_decomposition(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,11 +15,16 @@ def complex_normal_interleaved(rng, shape):
     return draw.view(complex)[..., 0]
 
 
+def pair_major(rng, n_blocks, n_rx, n_sc):
+    """CN(0, 1) samples drawn as (n_blocks, n_rx, 2, n_sc), the layout of
+    both the gains and the noise, and seen as (n_blocks, n_sc, n_rx, 2)."""
+    return complex_normal_interleaved(rng, (n_blocks, n_rx, 2, n_sc)).transpose(0, 3, 1, 2)
+
+
 def pair_major_noise(rng, n_blocks, n_rx, n_sc, sigma2):
-    """CN(0, sigma2) noise drawn as (n_blocks, n_rx, 2, n_sc), returned in
-    apply_channel's (n_blocks, n_sc, n_rx, 2) layout."""
-    draw = complex_normal_interleaved(rng, (n_blocks, n_rx, 2, n_sc)) * np.sqrt(sigma2)
-    return draw.transpose(0, 3, 1, 2)
+    """CN(0, sigma2) noise drawn pair-major, in apply_channel's
+    (n_blocks, n_sc, n_rx, 2) shape."""
+    return pair_major(rng, n_blocks, n_rx, n_sc) * np.sqrt(sigma2)
 
 
 def apply_channel_einsum(x, h, noise, rng):
@@ -37,6 +42,23 @@ def test_noise_config_formula():
     assert NoiseConfig(10.0).sigma2 == pytest.approx(0.1)
     assert NoiseConfig(-5.0).sigma2 == pytest.approx(10 ** 0.5)
     assert NoiseConfig(math.inf).sigma2 == 0.0
+
+
+@pytest.mark.parametrize("n_rx", [1, 4])
+def test_draw_channel_is_one_pair_major_draw(n_rx):
+    n_sc, n_blocks = 7, 5
+    a_rng, b_rng, c_rng = (np.random.Generator(np.random.SFC64(24)) for _ in range(3))
+    h = draw_channel(a_rng, n_sc, n_blocks=n_blocks, n_rx=n_rx)
+    ref = pair_major(b_rng, n_blocks, n_rx, n_sc)
+    assert h.shape == ref.shape == (n_blocks, n_sc, n_rx, 2)
+    assert np.array_equal(h, ref)
+    # held in the draw layout, the subcarriers innermost
+    assert h.transpose(0, 2, 3, 1).flags.c_contiguous
+    # draws of consecutive runs of slot pairs concatenate to one draw
+    halves = [draw_channel(c_rng, n_sc, n_blocks=k, n_rx=n_rx) for k in (2, n_blocks - 2)]
+    assert np.array_equal(np.concatenate(halves), h)
+    # same stream position
+    assert a_rng.standard_normal() == b_rng.standard_normal() == c_rng.standard_normal()
 
 
 def test_draw_deterministic_under_seed():
@@ -169,10 +191,12 @@ def test_apply_channel_matches_einsum_reference(snr_db):
     n_blocks, n_sc = 5, 12
     h = complex_normal(rng, (n_blocks, n_sc, 3, 2))
     x = complex_normal(rng, (2, 2 * n_blocks, n_sc))
-    y = apply_channel(x, h, NoiseConfig(snr_db), np.random.default_rng(23))
-    ref = apply_channel_einsum(x, h, NoiseConfig(snr_db), np.random.default_rng(23))
-    assert y.shape == ref.shape == (n_blocks, n_sc, 3, 2)
-    assert np.max(np.abs(y - ref)) <= 1e-12
+    # gains in C order and in draw_channel's layout
+    for gains in (h, np.ascontiguousarray(h.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)):
+        y = apply_channel(x, gains, NoiseConfig(snr_db), np.random.default_rng(23))
+        ref = apply_channel_einsum(x, gains, NoiseConfig(snr_db), np.random.default_rng(23))
+        assert y.shape == ref.shape == (n_blocks, n_sc, 3, 2)
+        assert np.max(np.abs(y - ref)) <= 1e-12
 
 
 # (subcarriers, slot pairs): the engine's tiles of 8 pairs with a remainder
@@ -182,7 +206,7 @@ def test_tiled_mix_equals_whole_chunk_reference_exactly(n_sc, n_blocks):
     step = max(1, TILE_BLOCKS // n_sc)
     assert n_blocks > step and (n_blocks % step or step == 1)
     rng = np.random.default_rng(n_sc)
-    h = complex_normal(rng, (n_blocks, n_sc, 4, 2))
+    h = draw_channel(rng, n_sc, n_blocks=n_blocks)
     x = complex_normal(rng, (2, 2 * n_blocks, n_sc))
     # one call per tile of slot pairs, as the engine makes them
     y = np.concatenate([
@@ -220,7 +244,7 @@ def apply_channel_full_noise(x, h, noise, rng):
 @pytest.mark.parametrize("snr_db", [-5.0, 12.0])
 def test_apply_channel_tiled_noise_equals_full_draw(n_rx, n_blocks, n_sc, snr_db):
     rng = np.random.default_rng(32)
-    h = complex_normal(rng, (n_blocks, n_sc, n_rx, 2))
+    h = draw_channel(rng, n_sc, n_blocks=n_blocks, n_rx=n_rx)
     x = complex_normal(rng, (2, 2 * n_blocks, n_sc))
     a_rng = np.random.default_rng(33)
     b_rng = np.random.default_rng(33)

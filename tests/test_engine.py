@@ -182,13 +182,26 @@ class TestRunChain:
 
 class TestChunkSeed:
     def test_negative_zero_snr_draws_the_zero_stream(self):
-        from mclink.engine import _chunk_seed
+        from mclink.engine import _chunk_rng
 
-        a = _chunk_seed(7, "qpsk", -0.0, 3)
-        b = _chunk_seed(7, "qpsk", 0.0, 3)
-        assert a.entropy == b.entropy
-        assert np.array_equal(a.generate_state(4), b.generate_state(4))
+        a = _chunk_rng(7, "qpsk", -0.0, 3)
+        b = _chunk_rng(7, "qpsk", 0.0, 3)
+        assert a.bit_generator.seed_seq.entropy == b.bit_generator.seed_seq.entropy
+        assert np.array_equal(a.bit_generator.random_raw(4), b.bit_generator.random_raw(4))
         assert run_chain(tiny_cfg(), "qpsk", -0.0) == run_chain(tiny_cfg(), "qpsk", 0.0)
+
+    def test_chunk_generator_is_sfc64_on_the_chunk_seed(self):
+        from mclink.engine import _chunk_rng
+
+        rng = _chunk_rng(7, "qpsk", -5.0, 3)
+        assert type(rng.bit_generator) is np.random.SFC64
+        name_word = int.from_bytes(b"qpsk", "big")
+        snr_word = int(np.float64(-5.0).view(np.uint64))
+        ref = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence([7, name_word, snr_word, 3])))
+        assert np.array_equal(rng.bit_generator.random_raw(4), ref.bit_generator.random_raw(4))
+        # the three child streams are SFC64 too
+        assert all(type(child.bit_generator) is np.random.SFC64 for child in rng.spawn(3))
 
 
 class TestSweep:
@@ -325,16 +338,35 @@ class TestGains:
 
 class TestRedraws:
     def test_degenerate_blocks_redrawn_and_counted(self):
+        from mclink.channel import complex_normal
         from mclink.engine import _redraw_weak_blocks
 
-        rng = np.random.default_rng(0)
-        h = np.zeros((3, 4, 4, 2), dtype=complex)
-        h[0], h[2] = 1.0, 1.0  # block row 1 is all-zero across all subcarriers
-        redrawn = h.copy()
-        count = _redraw_weak_blocks(redrawn, rng)
-        assert count == 4  # one per subcarrier of the degenerate block
-        assert np.all(np.sum(np.abs(redrawn) ** 2, axis=(-2, -1)) > 0)
-        assert np.array_equal(redrawn[0], h[0])  # healthy blocks untouched
+        # 3 slot pairs x 5 subcarriers, in C order and in draw_channel's
+        # layout (slot pairs, antennas, columns, subcarriers), where a mask
+        # built on the wrong axes would miss or move the zero blocks
+        for h in (np.zeros((3, 5, 4, 2), dtype=complex),
+                  np.zeros((3, 4, 2, 5), dtype=complex).transpose(0, 3, 1, 2)):
+            h[0], h[2] = 1.0, 1.0  # block row 1 is all-zero across all subcarriers
+            h[2, 3] = 0.0  # and one more block
+            redrawn = h.copy(order="K")
+            count = _redraw_weak_blocks(redrawn, chunk_stream(0))
+            assert count == 6  # one per zero block
+            assert np.all(np.sum(np.abs(redrawn) ** 2, axis=(-2, -1)) > 0)
+            assert np.array_equal(redrawn[0], h[0])  # healthy blocks untouched
+            assert np.array_equal(redrawn[2, :3], h[2, :3])
+            assert np.array_equal(redrawn[2, 4], h[2, 4])
+            # the redraws are the stream's first draws, in block order
+            ref = complex_normal(chunk_stream(0), (6, 4, 2))
+            assert np.array_equal(redrawn[1], ref[:5])
+            assert np.array_equal(redrawn[2, 3], ref[5])
+
+
+def chunk_stream(seed):
+    """A chunk's generator as ``_run_chunk`` makes it, here on a seed of the
+    test's own, for tests that hand the engine's stages a stream."""
+    from mclink.engine import _chunk_rng
+
+    return _chunk_rng(seed, "16qam", 3.0, 0)
 
 
 def detect_alamouti_untiled(cfg, c, groups, snr_db, rng, scale_stream=False):
@@ -423,7 +455,7 @@ class TestTiledDetection:
 
         def detect(tile_blocks):
             monkeypatch.setattr(engine, "TILE_BLOCKS", tile_blocks)
-            rng = np.random.default_rng(40)
+            rng = chunk_stream(40)
             est, hard, redraws = detect_tiled(monkeypatch, cfg, c, groups, 3.0, rng)
             return est, hard, redraws, rng.standard_normal()
 
@@ -437,7 +469,7 @@ class TestTiledDetection:
             assert redraws == ref_redraws
             assert position == ref_position
         # and the whole-stream link from the public stages
-        rng = np.random.default_rng(40)
+        rng = chunk_stream(40)
         ref, ref_redraws = detect_alamouti_untiled(cfg, c, groups, 3.0, rng)
         assert np.array_equal(est, ref)
         assert np.array_equal(hard, modem.demap_symbols(ref, c).reshape(groups.shape))
@@ -453,12 +485,11 @@ class TestTiledDetection:
                            n_rx=n_rx, split_tx_power=True)
         c = modem.get_constellation("16qam")
         groups = random_groups(3, 80 * 64, c)
-        est, _, redraws = detect_tiled(monkeypatch, cfg, c, groups, 3.0,
-                                       np.random.default_rng(40))
+        est, _, redraws = detect_tiled(monkeypatch, cfg, c, groups, 3.0, chunk_stream(40))
         # the order before the gains took the scaling: the STBC output scaled
         # by 1/sqrt(2), then the same factor on the gains the detector sees
         ref, ref_redraws = detect_alamouti_untiled(
-            cfg, c, groups, 3.0, np.random.default_rng(40), scale_stream=True)
+            cfg, c, groups, 3.0, chunk_stream(40), scale_stream=True)
         assert redraws == ref_redraws
         assert np.allclose(est, ref, rtol=0.0, atol=1e-12)
 
@@ -495,8 +526,7 @@ class TestTiledDetection:
             monkeypatch.setattr(channel, "complex_normal", record_normal)
             monkeypatch.setattr(engine, "draw_channel", draw)
             monkeypatch.setattr(engine, "apply_channel", apply)
-            est, _, redraws = detect_tiled(monkeypatch, cfg, c, groups, 3.0,
-                                           np.random.default_rng(40))
+            est, _, redraws = detect_tiled(monkeypatch, cfg, c, groups, 3.0, chunk_stream(40))
             return draws, np.concatenate(gains), est.reshape(2 * n_pairs, 64), redraws
 
         draws, gains, est, redraws = run(inject=False)
@@ -506,7 +536,7 @@ class TestTiledDetection:
         assert len(hit_draws) == len(draws) == 4
         assert all(np.array_equal(a, b) for a, b in zip(hit_draws, draws))
         # the zeroed block holds the redraw stream's first draw, no other moved
-        redraw_rng = np.random.default_rng(40).spawn(3)[2]
+        redraw_rng = chunk_stream(40).spawn(3)[2]
         assert np.array_equal(hit_gains[32 + 3, 5], real_normal(redraw_rng, (1, 4, 2))[0])
         other = np.ones(gains.shape[:2], dtype=bool)
         other[32 + 3, 5] = False
@@ -522,10 +552,10 @@ def run_chunk_untiled(cfg, modulation, snr_db, chunk):
     """``_run_chunk`` from the public stages, with the whole chunk's link in
     one pass; returns (bits, errors, redraws) and the decoder's input."""
     from mclink.bits import PRBS_DEGREE, Prbs, conv_encode, despread, spread, viterbi_decode
-    from mclink.engine import _chunk_seed
+    from mclink.engine import _chunk_rng
 
     c = modem.get_constellation(modulation)
-    rng = np.random.default_rng(_chunk_seed(cfg.seed, c.name, snr_db, chunk))
+    rng = _chunk_rng(cfg.seed, c.name, snr_db, chunk)
     payload = Prbs(int(rng.integers(1, 1 << PRBS_DEGREE))).generate(cfg.chunk_payload_bits)
     payload = payload.reshape(cfg.frames_per_chunk, cfg.frame_payload_bits)
     coded = conv_encode(spread(payload))
@@ -614,9 +644,11 @@ class TestChunkMemory:
     # (qpsk) and 13.99 MiB (64qam) of traced numpy memory while the receive
     # path held chunk-sized gains and received samples, at 9.49 and 5.41 MiB
     # once the link ran tile by tile between chunk-sized symbols and
-    # estimates, and at 3.87 MiB on both once each tile runs from bits to
-    # bits; each bound is about 15% above the last figure.
-    PEAK_MIB = {"qpsk": 4.5, "64qam": 4.5}
+    # estimates, at 3.87 MiB on both once each tile runs from bits to bits,
+    # and at 3.66 and 3.63 MiB once the ZF weights stopped copying the
+    # stacked channel's columns.  The bound sits below the 3.87 MiB of the
+    # column copies, 4% above the last figure.
+    PEAK_MIB = {"qpsk": 3.8, "64qam": 3.8}
 
     def chunk_peak_mib(self, modulation):
         import tracemalloc

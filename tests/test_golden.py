@@ -8,9 +8,10 @@ Two goldens live under tests/data:
   frame, wider than one tile of the link.
 
 Both were written by the code that runs the link one tile of slot pairs at a
-time, with each chunk's gains, noise and weak-block redraws on three spawned
-child streams and the gains and noise drawn pair-major, one interleaved
-(real, imaginary) normal pair per sample.
+time, on one SFC64 generator per chunk, with each chunk's gains, noise and
+weak-block redraws on three spawned child streams and the gains and noise
+drawn pair-major as (slot pair, receive antenna, 2, subcarrier), one
+interleaved (real, imaginary) normal pair per sample.
 
 A kernel change that moves one error count or one printed digit fails here.
 A change that alters RNG consumption on purpose regenerates both with

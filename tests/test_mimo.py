@@ -353,6 +353,16 @@ class TestBlockLayouts:
         h8 = complex_normal(rng, (8, 2))
         assert np.max(np.abs(zf_weights(h8) - np.linalg.pinv(h8))) <= 1e-12
 
+    def test_one_channel_many_receive_vectors(self):
+        rng = np.random.default_rng(19)
+        h = complex_normal(rng, (3, 1, 4, 2))
+        y = complex_normal(rng, (3, 6, 4, 2))
+        h_eff, y_eff = build_effective(h, y)
+        est = zf_detect((h_eff, y_eff)).estimates
+        assert est.shape == (3, 6, 2)
+        ref = np.einsum("...ij,...j->...i", np.linalg.pinv(h_eff), y_eff)
+        assert np.max(np.abs(est - ref)) <= 1e-12
+
     def test_near_singular_blocks_judged_by_exact_det(self):
         # 8x2 blocks in a draw layout, (column, row, block), whose second
         # column is a multiple of the first plus a perturbation of 1e-9.5 to
@@ -363,7 +373,8 @@ class TestBlockLayouts:
         rng = np.random.default_rng(17)
         n = 400
         h = complex_normal(rng, (2, 8, n))
-        h[1] = (0.3 + 0.7j) * h[0] + 10.0 ** rng.uniform(-9.5, -6.5, n) * complex_normal(rng, (8, n))
+        scale = 10.0 ** rng.uniform(-9.5, -6.5, n)
+        h[1] = (0.3 + 0.7j) * h[0] + scale * complex_normal(rng, (8, n))
         cond = np.linalg.cond(h.transpose(2, 1, 0))
         below, above = cond < 0.9e8, cond > 1.1e8
         assert below.sum() > 100 and above.sum() > 100
