@@ -3,6 +3,11 @@
 10110010, and the K=3 rate-1/2 convolutional code with octal generators
 (7, 5), zero-flushed, with its hard-decision Viterbi decoder.
 
+The source obeys s[m] = s[m-23] ^ s[m-5]; squaring its polynomial k times
+over GF(2) gives s[m] = s[m - 23*2^k] ^ s[m - 5*2^k] (Golomb, *Shift Register
+Sequences*, 1967), so n bits take O(log n) slice XORs.  The 8 chips of a bit
+are one byte, the signature's or its complement's.
+
 The decoder is table-driven.  Its path metrics less their minimum take 39
 values, the nodes of a finite machine (Forney, Proc. IEEE 61(3), 1973), so
 every add-compare-select step, a tie keeping the lower-indexed predecessor,
@@ -22,13 +27,15 @@ from .errors import FramingError
 #: The source register length and its one inner tap: x^23 + x^18 + 1.
 PRBS_DEGREE = 23
 PRBS_TAP = 18
-#: The feedback for the next 23 - 18 bits reads only bits already in the
-#: register, so the register advances a whole word of that many bits per step.
+#: The recurrence's short lag: s[m] = s[m - 23] ^ s[m - 5].
 PRBS_WORD = PRBS_DEGREE - PRBS_TAP
 
 #: The spreading signature; one payload bit becomes 8 chips.
 CHIPS = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
 CHIPS.flags.writeable = False
+#: The chips of a 0 and of a 1 bit, each packed MSB first into one byte.
+_CHIP_BYTES = np.packbits([CHIPS, 1 - CHIPS], axis=-1)[:, 0]
+_CHIP_BYTES.flags.writeable = False
 
 #: The convolutional code: constraint length, generators, trellis states.
 CONSTRAINT_LENGTH = 3
@@ -51,27 +58,28 @@ class Prbs:
         self.state = state
 
     def generate(self, n: int) -> np.ndarray:
-        """Emit the next ``n`` bits, advancing the register a word at a time;
-        the register LSB is the output bit."""
+        """Emit the next ``n`` bits; the register LSB is the output bit.  Once
+        23*2^k bits exist, the next 5*2^k are one slice XOR (module docstring)."""
         if n < 0:
             raise ValueError("bit count must be non-negative")
-        state = self.state
-        words = []
-        for step in [PRBS_WORD] * (n // PRBS_WORD) + [n % PRBS_WORD]:
-            fb = state ^ (state >> PRBS_TAP)
-            words.append(state & ((1 << step) - 1))
-            state = (state >> step) | ((fb & ((1 << step) - 1)) << (PRBS_DEGREE - step))
-        self.state = state
-        packed = np.array(words, dtype=np.uint8)[:, None]
-        bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :PRBS_WORD]
-        return bits.reshape(-1)[:n]
+        s = np.empty(n + PRBS_DEGREE, dtype=np.uint8)
+        seed = np.frombuffer(self.state.to_bytes(3, "little"), dtype=np.uint8)
+        s[:PRBS_DEGREE] = np.unpackbits(seed, bitorder="little")[:PRBS_DEGREE]
+        have, lag = PRBS_DEGREE, 1
+        while have < s.size:
+            if have >= 2 * PRBS_DEGREE * lag:
+                lag *= 2
+            run = min(PRBS_WORD * lag, s.size - have)
+            far, near = have - PRBS_DEGREE * lag, have - PRBS_WORD * lag
+            np.bitwise_xor(s[far : far + run], s[near : near + run], out=s[have : have + run])
+            have += run
+        self.state = int.from_bytes(np.packbits(s[n:], bitorder="little").tobytes(), "little")
+        return s[:n]
 
 
 def spread(data: np.ndarray) -> np.ndarray:
     """XOR each data bit with the chip sequence: output is 8x longer."""
-    data = np.asarray(data, dtype=np.uint8)
-    chips = data[..., :, None] ^ CHIPS
-    return chips.reshape(data.shape[:-1] + (data.shape[-1] * CHIPS.size,))
+    return np.unpackbits(_CHIP_BYTES[np.asarray(data, dtype=np.uint8)], axis=-1)
 
 
 def despread(chips: np.ndarray) -> np.ndarray:
@@ -86,9 +94,8 @@ def despread(chips: np.ndarray) -> np.ndarray:
         raise FramingError(
             f"chip count {chips.shape[-1]} is not a multiple of the spreading factor {sf}"
         )
-    blocks = chips.reshape(chips.shape[:-1] + (-1, sf)) ^ CHIPS
-    votes = blocks.sum(axis=-1, dtype=np.int16)
-    return (votes > sf // 2).astype(np.uint8)
+    votes = np.bitwise_count(np.packbits(chips, axis=-1) ^ _CHIP_BYTES[0])
+    return (votes > sf // 2).view(np.uint8)
 
 
 def conv_encode(data: np.ndarray) -> np.ndarray:

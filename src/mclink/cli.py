@@ -4,7 +4,8 @@
               [--detector zf|realzf] [--seed N] [--workers N] [--out DIR]
 
 Each value flag is read exactly like its field's line in a config file.
-Exit codes: 0 success, 1 usage or configuration error, 2 runtime/numeric error.
+Exit codes: 0 success, 1 usage or configuration error, 2 runtime/numeric error,
+130 interrupted (Ctrl-C).
 """
 from __future__ import annotations
 
@@ -110,6 +111,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

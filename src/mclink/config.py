@@ -34,6 +34,12 @@ MAX_CHUNK_PAYLOAD_BITS = 250_000
 #: own arrays, 17 MiB above the imports for a QPSK chunk at the default size.
 MAX_WORKERS = 64
 
+#: Largest finite |SNR| in dB a grid accepts.  The noise variance
+#: 10^(-snr/10) overflows below about -3,083 dB and reaches 0, which switches
+#: the noise off unasked, near +3,240 dB; within +-300 dB it and the symbol
+#: Es/N0 stay finite and non-zero.  +inf stays valid: it switches the noise off.
+MAX_SNR_DB = 300.0
+
 #: What a field accepts, by the type of its default; a bool is no number here.
 _KINDS = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str, tuple: (tuple, list)}
 
@@ -95,9 +101,8 @@ class SimConfig:
             b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])
         ):
             raise ConfigError("snr_grid_db must be non-empty and strictly increasing")
-        if any(math.isnan(snr) or snr == -math.inf for snr in self.snr_grid_db):
-            # +inf stays valid: it switches the noise off
-            raise ConfigError("snr_grid_db values must be numbers or +inf, not NaN or -inf")
+        if not all(abs(snr) <= MAX_SNR_DB or snr == math.inf for snr in self.snr_grid_db):
+            raise ConfigError(f"snr_grid_db values must lie within +-{MAX_SNR_DB:g} dB or be +inf")
         if not 1 <= self.n_subcarriers <= MAX_SUBCARRIERS or not 0 <= self.cp_len <= self.n_subcarriers:
             raise ConfigError(f"invalid subcarrier/CP sizes (at most {MAX_SUBCARRIERS} subcarriers)")
         if self.detector not in ("zf", "realzf"):
@@ -144,7 +149,8 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
 
     A range needs a finite start, step and stop and at most
     ``MAX_SNR_POINTS`` points.  List entries are checked by ``SimConfig``,
-    which keeps +inf (noise off) and rejects NaN and -inf.
+    which keeps +inf (noise off) and rejects NaN, -inf and finite values
+    beyond +-``MAX_SNR_DB``.
     """
     text = text.strip()
     try:

@@ -71,14 +71,14 @@ def alamouti_effective(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h)
     n_rx = h.shape[-2]
     # a view of a (column, row, ...) buffer: each copy runs along the blocks
-    h1, h2 = np.moveaxis(h, (-2, -1), (1, 0))
+    h1, h2 = h.transpose((-1, -2) + tuple(range(h.ndim - 2)))
     heff = np.empty((2, 2 * n_rx) + h.shape[:-2], dtype=complex)
     heff[0, 0::2] = h1
     heff[1, 0::2] = h2
     np.conjugate(h2, out=heff[0, 1::2])
     np.conjugate(h1, out=heff[1, 1::2])
     np.negative(heff[1, 1::2], out=heff[1, 1::2])
-    return np.moveaxis(heff, (0, 1), (-1, -2))
+    return heff.transpose(tuple(range(2, heff.ndim)) + (1, 0))
 
 
 def build_effective(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,11 +87,11 @@ def build_effective(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if np.shape(h)[-1] != 2 or np.shape(y)[-1] != 2:
         raise ValueError("expected 2 transmit streams and 2 time slots")
     y = np.asarray(y)
-    y1, y2 = np.moveaxis(y, (-2, -1), (1, 0))
+    y1, y2 = y.transpose((-1, -2) + tuple(range(y.ndim - 2)))
     y_eff = np.empty((2 * y.shape[-2],) + y.shape[:-2], dtype=complex)
     y_eff[0::2] = y1
     np.conjugate(y2, out=y_eff[1::2])
-    return alamouti_effective(h), np.moveaxis(y_eff, 0, -1)
+    return alamouti_effective(h), y_eff.transpose(tuple(range(1, y_eff.ndim)) + (0,))
 
 
 def zf_weights(h_eff: np.ndarray) -> np.ndarray:
@@ -106,7 +106,7 @@ def zf_weights(h_eff: np.ndarray) -> np.ndarray:
         raise ValueError("weights are defined for 2 transmit streams")
     # the columns with the row axis first, (2*n_rx, ...): every ufunc below
     # runs along the blocks, and the sums over rows add whole block arrays
-    h0, h1 = np.moveaxis(h_eff, (-2, -1), (1, 0))
+    h0, h1 = h_eff.transpose((-1, -2) + tuple(range(h_eff.ndim - 2)))
     # Gram entries; g00 and g11 are real and g10 = conj(g01)
     g00 = np.square(h0.real).sum(0) + np.square(h0.imag).sum(0)
     g11 = np.square(h1.real).sum(0) + np.square(h1.imag).sum(0)
@@ -117,13 +117,13 @@ def zf_weights(h_eff: np.ndarray) -> np.ndarray:
     # near-singular blocks take det exactly by Lagrange's identity,
     # sum_{i<j} |h0_i h1_j - h0_j h1_i|**2, each minor exact to an ulp of |h|**2
     near = det <= _DET_RECHECK * tr2
-    if np.any(near):
+    if near.any():
         a, b = h0[:, near], h1[:, near]
         minors = a[:, None] * b - a * b[:, None]
         det[near] = (minors.real**2 + minors.imag**2).sum(axis=(0, 1)) / 2
     # <= also refuses the all-zero block, where det = tr = 0
     bad = det <= _DET_FLOOR * tr2
-    if np.any(bad):
+    if bad.any():
         n_bad = int(np.count_nonzero(bad))
         raise SingularChannelError(
             f"{n_bad} channel block(s) exceed condition cap {COND_CAP:g}"
@@ -138,15 +138,18 @@ def zf_weights(h_eff: np.ndarray) -> np.ndarray:
     w[0] += h1 * np.conj(a01)
     w[1] += h0 * a01
     np.conjugate(w, out=w)
-    return np.moveaxis(w, (0, 1), (-2, -1))
+    return w.transpose(tuple(range(2, w.ndim)) + (0, 1))
 
 
 def zf_detect(eff: tuple[np.ndarray, np.ndarray]) -> DetectorOutput:
     """Apply the pseudo-inverse weights to the stacked receive vector."""
     h_eff, y_eff = eff
     # weights (2, 2*n_rx, ...) times the receive vector (2*n_rx, ...)
-    w = np.moveaxis(zf_weights(h_eff), (-2, -1), (0, 1))
-    return DetectorOutput(np.moveaxis((w * np.moveaxis(y_eff, -1, 0)).sum(axis=1), 0, -1))
+    w = zf_weights(h_eff)
+    blocks = tuple(range(w.ndim - 2))
+    y = np.asarray(y_eff).transpose((-1,) + blocks)
+    est = (w.transpose((-2, -1) + blocks) * y).sum(axis=1)
+    return DetectorOutput(est.transpose(tuple(range(1, est.ndim)) + (0,)))
 
 
 def real_decomposition(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -137,11 +137,11 @@ def map_bits(data: np.ndarray, c: Constellation) -> np.ndarray:
             f"{data.shape[-1]} bits do not fill whole {c.name} symbols of {b} bits"
         )
     groups = data.reshape(data.shape[:-1] + (-1, b))
-    labels = groups[..., 0].astype(np.intp)
+    labels = groups[..., 0].copy()  # at most 6 bits: uint8 labels
     for k in range(1, b):
         labels <<= 1
         labels |= groups[..., k]
-    return c.points[labels]
+    return c.points.take(labels)
 
 
 def demap_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
@@ -156,15 +156,14 @@ def demap_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
     if not n:
         return _demap_nearest(symbols, c)
     shape = np.shape(symbols)
-    flat = np.asarray(symbols).reshape(-1)
-    bits = np.empty((flat.size, 2 * n), dtype=np.uint8)
-    for axis, first in ((flat.real, 0), (flat.imag, n)):
-        x = axis * c.scale
-        np.less(x, 0, out=bits[:, first])
-        for k in range(1, n):
-            np.abs(x, out=x)
-            x -= 1 << (n - k)
-            np.less(x, 0, out=bits[:, first + k])
+    # I and Q side by side, (N, 2): bit k of both axes fills columns k and n + k
+    x = np.ascontiguousarray(symbols, dtype=complex).reshape(-1, 1).view(float) * c.scale
+    bits = np.empty((x.shape[0], 2 * n), dtype=np.uint8)
+    np.less(x, 0, out=bits[:, 0::n])
+    for k in range(1, n):
+        np.abs(x, out=x)
+        x -= 1 << (n - k)
+        np.less(x, 0, out=bits[:, k::n])
     return bits.reshape(shape[:-1] + (-1,) if shape else (2 * n,))
 
 

@@ -67,6 +67,35 @@ def lfsr_bitserial(state: int, n: int) -> tuple[np.ndarray, int]:
     return out, state
 
 
+def prbs_wordloop(state: int, n: int) -> tuple[np.ndarray, int]:
+    """The register advanced 5 bits per step: the next 23 - 18 feedback bits
+    read only bits already in the register.  Returns the bits and the state."""
+    degree, word = PRBS23.bit_length() - 1, 5
+    words = []
+    for step in [word] * (n // word) + [n % word]:
+        fb = state ^ (state >> (degree - word))
+        words.append(state & ((1 << step) - 1))
+        state = (state >> step) | ((fb & ((1 << step) - 1)) << (degree - step))
+    packed = np.array(words, dtype=np.uint8)[:, None]
+    bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :word]
+    return bits.reshape(-1)[:n], state
+
+
+def spread_xor(data: np.ndarray) -> np.ndarray:
+    """Each bit XORed with the 8 chips, one chip per array element."""
+    data = np.asarray(data, dtype=np.uint8)
+    chips = data[..., :, None] ^ np.array(CHIPS, np.uint8)
+    return chips.reshape(data.shape[:-1] + (data.shape[-1] * len(CHIPS),))
+
+
+def despread_xor(chips: np.ndarray) -> np.ndarray:
+    """Chips XORed with the signature and summed per bit; a bit is 1 on more
+    than 4 of 8 votes."""
+    chips = np.asarray(chips, dtype=np.uint8)
+    blocks = chips.reshape(chips.shape[:-1] + (-1, len(CHIPS))) ^ np.array(CHIPS, np.uint8)
+    return (blocks.sum(axis=-1, dtype=np.int16) > len(CHIPS) // 2).astype(np.uint8)
+
+
 def trellis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``pred[s, j]``, the j-th predecessor of state s, and the two code bits
     ``out0[s, j]``, ``out1[s, j]`` on that branch."""
@@ -164,6 +193,69 @@ class TestPrbs:
         assert all(p.dtype == np.uint8 for p in parts)
         assert np.array_equal(np.concatenate(parts), expected)
         assert prbs.state == final
+
+
+class TestBytewiseKernelsMatchReferences:
+    """The squared-recurrence source and the byte-wise spread and despread,
+    bit for bit against the word-loop register and the per-chip XOR."""
+
+    LENGTHS = (0, 1, 4, 5, 22, 23, 24, 46, 47, 1000, 25000, 250000)
+    STATES = (1, 2, (1 << 23) - 1, 0b101, 0x2AAAAA, 4_000_037)
+
+    @pytest.mark.parametrize("state", STATES)
+    def test_prbs_bits_and_state(self, state):
+        for n in self.LENGTHS:
+            prbs = Prbs(state)
+            out = prbs.generate(n)
+            expected, final = prbs_wordloop(state, n)
+            assert out.dtype == np.uint8 and out.shape == (n,)
+            assert np.array_equal(out, expected), n
+            assert prbs.state == final, n
+            # a second call continues the sequence
+            more, final2 = prbs_wordloop(final, 47)
+            assert np.array_equal(prbs.generate(47), more), n
+            assert prbs.state == final2, n
+
+    def test_prbs_errors(self):
+        with pytest.raises(ValueError):
+            Prbs(5).generate(-1)
+        for state in (0, 1 << 23, -1):
+            with pytest.raises(ValueError):
+                Prbs(state)
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (200,), (125, 200), (3, 0), (2, 3, 5)])
+    def test_spread_and_despread(self, shape):
+        rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+        data = rng.integers(0, 2, shape, dtype=np.uint8)
+        chips = spread(data)
+        assert chips.dtype == np.uint8
+        assert np.array_equal(chips, spread_xor(data))
+        noisy = chips ^ (rng.random(chips.shape) < 0.4).astype(np.uint8)
+        out = despread(noisy)
+        assert out.dtype == np.uint8 and out.shape == shape
+        assert np.array_equal(out, despread_xor(noisy))
+        assert np.array_equal(despread(chips), data)
+
+    def test_despread_every_chip_byte(self):
+        chips = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=-1)
+        assert np.array_equal(despread(chips)[:, 0], despread_xor(chips)[:, 0])
+        assert np.array_equal(despread(chips.reshape(-1)), despread_xor(chips.reshape(-1)))
+
+    def test_despread_tie_is_0_and_five_votes_are_1(self):
+        sig = np.array(CHIPS, np.uint8)
+        tie = sig.copy()
+        tie[[0, 1, 2, 3]] ^= 1           # 4 chips say 1, 4 say 0
+        five = sig.copy()
+        five[[0, 2, 4, 6, 7]] ^= 1       # 5 chips say 1, 3 say 0
+        assert despread(tie).tolist() == [0]
+        assert despread(five).tolist() == [1]
+
+    @pytest.mark.parametrize("n_chips", [1, 7, 9, 15, 1601])
+    def test_despread_framing_error(self, n_chips):
+        with pytest.raises(FramingError):
+            despread(np.zeros(n_chips, np.uint8))
+        with pytest.raises(FramingError):
+            despread(np.zeros((3, n_chips), np.uint8))
 
 
 class TestSpreading:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -287,6 +288,17 @@ def test_unreplaceable_output_fails_before_the_sweep(tmp_path, capsys, monkeypat
     assert not any((out / name).iterdir())
 
 
+def test_interrupt_exits_130_without_traceback(tmp_path, capsys, monkeypatch):
+    def ctrl_c(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("mclink.cli.sweep", ctrl_c)
+    cfg_path = tmp_path / "sim.cfg"
+    write_tiny_config(cfg_path)
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+
+
 def test_cli_runtime_error_without_message_is_named(tmp_path, capsys, monkeypatch):
     def out_of_memory(cfg):
         raise MemoryError()
@@ -408,6 +420,23 @@ def test_unbounded_snr_range_fails_fast(tmp_path, snr):
     assert proc.returncode == 1
     assert "config error" in proc.stderr
     assert not out.exists()
+
+
+def test_snr_without_a_finite_noise_variance_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # sigma2 = 10^(-snr/10) overflows at -4000 dB and is 0 at 1e308 dB
+    def entered(cfg):
+        raise AssertionError("sweep entered")
+
+    monkeypatch.setattr("mclink.cli.sweep", entered)
+    cfg_path = tmp_path / "sim.cfg"
+    write_tiny_config(cfg_path)
+    out = tmp_path / "out"
+    for snr in ("-4000,0", "0,1e308", "-300.0001", "300.0001"):
+        assert main(["sweep", "--config", str(cfg_path), f"--snr={snr}", "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+    grid = (-300.0, 0.0, 300.0, math.inf)
+    assert SimConfig(snr_grid_db=grid).snr_grid_db == grid
 
 
 def test_unreadable_snr_grid_is_a_config_error(tmp_path):

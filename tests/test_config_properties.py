@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclink import SimConfig
-from mclink.config import MAX_SNR_POINTS, parse_snr_grid
+from mclink.config import MAX_SNR_DB, MAX_SNR_POINTS, parse_snr_grid
 from mclink.errors import ConfigError
 
 props = settings(deadline=None, max_examples=150)
@@ -16,6 +16,7 @@ props = settings(deadline=None, max_examples=150)
 hundredths = st.integers(-5000, 5000).map(lambda n: n / 100)
 steps = st.integers(1, 1000).map(lambda n: n / 100)
 finite = st.floats(allow_nan=False, allow_infinity=False)
+in_bound = st.floats(-MAX_SNR_DB, MAX_SNR_DB)
 bad_values = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
@@ -27,7 +28,11 @@ def test_finite_range_grid(start, step, stop_steps):
     assert grid[0] == start
     assert all(b > a for a, b in zip(grid, grid[1:]))
     assert abs(grid[-1] - stop) <= step / 2 + 1e-9
-    assert SimConfig(snr_grid_db=grid).snr_grid_db == grid
+    if grid[-1] <= MAX_SNR_DB:
+        assert SimConfig(snr_grid_db=grid).snr_grid_db == grid
+    else:
+        with pytest.raises(ConfigError):
+            SimConfig(snr_grid_db=grid)
 
 
 @props
@@ -58,7 +63,7 @@ def test_nan_or_minus_inf_list_entry_rejected(values, where, bad):
 
 
 @props
-@given(values=st.lists(finite, min_size=0, max_size=6, unique=True))
+@given(values=st.lists(in_bound, min_size=0, max_size=6, unique=True))
 def test_plus_inf_list_entry_kept(values):
     grid = tuple(sorted(values)) + (math.inf,)
     text = ",".join(repr(v) for v in grid)
@@ -72,6 +77,7 @@ def test_validate_accepts_exactly_the_usable_grids(grid):
         len(grid) > 0
         and all(b > a for a, b in zip(grid, grid[1:]))
         and not any(math.isnan(v) or v == -math.inf for v in grid)
+        and all(abs(v) <= MAX_SNR_DB or v == math.inf for v in grid)
     )
     if usable:
         assert SimConfig(snr_grid_db=grid).snr_grid_db == grid
