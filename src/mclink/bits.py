@@ -14,11 +14,13 @@ every add-compare-select step, a tie keeping the lower-indexed predecessor,
 is worked out at import; a decode reads four trellis steps per table lookup
 going forward and four per lookup tracing back.
 
-Bit streams are numpy uint8 arrays of 0/1 values.  Every function accepts a
-trailing-axis layout, so a batch of frames can be processed as a 2-D array
-``(n_frames, n_bits)`` in one call.
+Bit streams are numpy uint8 arrays of 0/1 values along the last axis.  The
+spreader, the code and the decoder accept any leading batch shape, so a batch
+of frames ``(..., n_frames, n_bits)`` is processed in one call.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -190,23 +192,21 @@ _METRICS, _NEXT1, _DEC1, _NEXT4, _DEC4, _BACK4, _BITS4 = _decoder_tables()
 def viterbi_decode(coded: np.ndarray) -> np.ndarray:
     """Minimum-Hamming-distance sequence decoder for a zero-flushed stream.
 
-    Accepts a single stream or a batch ``(n_frames, n_coded)``; every frame
-    must have the same length.  Metric ties prefer the lower-indexed
-    predecessor state, which makes the decoder deterministic.  The first
-    ``n_steps % 4`` steps read the one-step tables, the rest four at a time.
+    Takes ``(..., n_coded)``, any leading batch shape and one frame length,
+    to ``(..., n_coded // 2 - (K - 1))`` bits, none for an empty stream.
+    Metric ties prefer the lower-indexed predecessor state, which makes the
+    decoder deterministic.  The first ``n_steps % 4`` steps read the one-step
+    tables, the rest four at a time.
     """
-    coded = np.asarray(coded, dtype=np.uint8)
-    single = coded.ndim == 1
-    rx = np.atleast_2d(coded)
-    if rx.shape[-1] % 2:
-        raise FramingError(f"coded length {rx.shape[-1]} is odd")
-    n_steps = rx.shape[-1] // 2
+    coded = np.atleast_1d(np.asarray(coded, dtype=np.uint8))
+    if coded.shape[-1] % 2:
+        raise FramingError(f"coded length {coded.shape[-1]} is odd")
+    n_steps = coded.shape[-1] // 2
     k = CONSTRAINT_LENGTH
-    if n_steps == 0:
-        out = np.zeros(rx.shape[:-1] + (0,), dtype=np.uint8)
-        return out[0] if single else out
-    if n_steps < k - 1:
+    if 0 < n_steps < k - 1:
         raise FramingError(f"{n_steps} coded pairs cannot hold a {k - 1}-bit flush tail")
+    # the row count is explicit: reshape(-1, 0) is ambiguous on empty input
+    rx = coded.reshape(math.prod(coded.shape[:-1]), coded.shape[-1])
 
     # Flat table indices, r * n_nodes + node forward and word * n_states + state
     # back, are in range by construction: mode="clip" writes to out unbuffered.
@@ -234,5 +234,5 @@ def viterbi_decode(coded: np.ndarray) -> np.ndarray:
     for t in range(lead - 1, -1, -1):
         bits[:, t] = state & 1
         state = (state >> 1) | ((lead_dec[t] >> state) & 1) << (k - 2)
-    data = bits[:, : n_steps - (k - 1)]
-    return data[0] if single else data
+    n_out = max(n_steps - (k - 1), 0)
+    return bits[:, :n_out].reshape(coded.shape[:-1] + (n_out,))

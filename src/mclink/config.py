@@ -170,7 +170,7 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
     bound = (stop - start) / step + 0.5
     if not bound < MAX_SNR_POINTS:
         raise ConfigError(f"SNR range {text!r} has more than {MAX_SNR_POINTS} points")
-    count = math.floor(bound) + 1 if bound >= 0 else 0
+    count = math.floor(bound) + 1 if bound >= 0 else 0  # -inf if the span overflows
     return tuple(round(start + i * step, 9) for i in range(count))
 
 

@@ -90,7 +90,7 @@ def _redraw_weak_blocks(h: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def _detect_alamouti(cfg: SimConfig, c: modem.Constellation, groups: np.ndarray,
-                     snr_db: float, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+                     es_n0_db: float, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Coded bit groups, one row per symbol, through mapping, STBC, OFDM,
     fading, linear detection and demapping; returns the hard bits in the
     groups' shape and the weak-channel redraw count."""
@@ -117,7 +117,7 @@ def _detect_alamouti(cfg: SimConfig, c: modem.Constellation, groups: np.ndarray,
             # each antenna sends half the unit symbol energy; the mix is
             # linear, so scaling the gains scales what the antennas send
             h *= 1.0 / math.sqrt(2.0)
-        y = apply_channel(x, h, NoiseConfig(snr_db), noise_rng)
+        y = apply_channel(x, h, NoiseConfig(es_n0_db), noise_rng)
         if cfg.detector == "realzf":
             out = realzf_detect(h, y)
         else:

@@ -8,7 +8,8 @@ Two detectors solve the same per-subcarrier least-squares problem:
   W = (H^H H)^-1 H^H.
 * ``realzf_detect`` rewrites the raw slot equations over the reals as the
   ``(h_hat, y_hat)`` pair from ``real_decomposition``, stacking
-  [a1_re, a2_re, a1_im, a2_im], and solves the real normal equations.
+  [a1_re, a2_re, a1_im, a2_im], and solves the real normal equations; each
+  row of H_hat is a signed permutation of the gains' parts, from a sign table.
 
 They must agree to numerical precision; keeping the constructions independent
 makes that agreement a meaningful cross-check.
@@ -152,33 +153,27 @@ def zf_detect(eff: tuple[np.ndarray, np.ndarray]) -> DetectorOutput:
     return DetectorOutput(est.transpose(tuple(range(1, est.ndim)) + (0,)))
 
 
+#: Row r of an antenna's real block is ``_SIGN[r] * parts[_IDX[r]]``, over
+#: the gains' parts [h1_re, h1_im, h2_re, h2_im].
+_IDX = np.array([[0, 2, 1, 3], [1, 3, 0, 2], [2, 0, 3, 1], [3, 1, 2, 0]])
+_SIGN = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0],
+                  [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+
+
 def real_decomposition(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real-valued stacking of the raw two-slot equations, y_hat = H_hat u:
     ``(h_hat, y_hat)`` of shapes (..., 4*n_rx, 4) and (..., 4*n_rx).
 
     Per receive antenna j the four rows are Re/Im of slot 1 and Re/Im of
-    slot 2, acting on u = [a1_re, a2_re, a1_im, a2_im].  Conjugations in the
-    Alamouti slot-2 transmission are linear over the reals, so no slot needs
-    pre-conjugation here.
+    slot 2, acting on u = [a1_re, a2_re, a1_im, a2_im]; y's own parts are in
+    that order.  Conjugations in the Alamouti slot-2 transmission are linear
+    over the reals, so no slot needs pre-conjugation here.
     """
-    h = np.asarray(h)
-    y = np.asarray(y)
-    n_rx = h.shape[-2]
-    h1r, h1i = h[..., 0].real, h[..., 0].imag
-    h2r, h2i = h[..., 1].real, h[..., 1].imag
-
-    hh = np.empty(h.shape[:-2] + (4 * n_rx, 4))
-    hh[..., 0::4, 0], hh[..., 0::4, 1], hh[..., 0::4, 2], hh[..., 0::4, 3] = h1r, h2r, -h1i, -h2i
-    hh[..., 1::4, 0], hh[..., 1::4, 1], hh[..., 1::4, 2], hh[..., 1::4, 3] = h1i, h2i, h1r, h2r
-    hh[..., 2::4, 0], hh[..., 2::4, 1], hh[..., 2::4, 2], hh[..., 2::4, 3] = h2r, -h1r, h2i, -h1i
-    hh[..., 3::4, 0], hh[..., 3::4, 1], hh[..., 3::4, 2], hh[..., 3::4, 3] = h2i, -h1i, -h2r, h1r
-
-    yh = np.empty(y.shape[:-2] + (4 * n_rx,))
-    yh[..., 0::4] = y[..., 0].real
-    yh[..., 1::4] = y[..., 0].imag
-    yh[..., 2::4] = y[..., 1].real
-    yh[..., 3::4] = y[..., 1].imag
-    return hh, yh
+    parts = np.ascontiguousarray(h, dtype=complex).view(float)
+    y = np.ascontiguousarray(y, dtype=complex).view(float)
+    n_rx = parts.shape[-2]
+    h_hat = (parts[..., _IDX] * _SIGN).reshape(parts.shape[:-2] + (4 * n_rx, 4))
+    return h_hat, y.reshape(y.shape[:-2] + (4 * n_rx,))
 
 
 def realzf_detect(h: np.ndarray, y: np.ndarray) -> DetectorOutput:

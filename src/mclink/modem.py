@@ -164,7 +164,7 @@ def demap_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
         np.abs(x, out=x)
         x -= 1 << (n - k)
         np.less(x, 0, out=bits[:, k::n])
-    return bits.reshape(shape[:-1] + (-1,) if shape else (2 * n,))
+    return bits.reshape(shape[:-1] + (-1,))
 
 
 #: Distances computed per table-demap chunk: two work arrays of this many
@@ -175,9 +175,9 @@ _DEMAP_CHUNK_VALUES = 1 << 15
 def _demap_nearest(symbols: np.ndarray, c: Constellation, chunk: int | None = None) -> np.ndarray:
     """Table search: the label of the nearest grid point, lowest on a tie.
 
-    Distances are taken ``chunk`` symbols at a time into reused work arrays
-    of ``chunk x order`` values; by default ``chunk`` keeps them at
-    ``_DEMAP_CHUNK_VALUES`` (512 symbols for 64-QAM, 8192 for QPSK).
+    Distances are taken ``chunk`` symbols at a time into reused work arrays of
+    ``chunk x order`` values, by default ``_DEMAP_CHUNK_VALUES``: 4,096
+    symbols for 8-PSK and 8-QAM, 1,024 for 32-QAM.
     """
     chunk = chunk or max(1, _DEMAP_CHUNK_VALUES // c.order)
     flat = np.asarray(symbols).reshape(-1) * c.scale
@@ -198,4 +198,4 @@ def _demap_nearest(symbols: np.ndarray, c: Constellation, chunk: int | None = No
     shifts = np.arange(b - 1, -1, -1, dtype=np.uint8)
     bits = (labels.astype(np.uint8)[:, None] >> shifts) & 1
     shape = np.shape(symbols)
-    return bits.reshape(shape[:-1] + (-1,) if shape else (b,))
+    return bits.reshape(shape[:-1] + (-1,))

@@ -365,6 +365,8 @@ class TestViterbi:
     def test_odd_length_rejected(self):
         with pytest.raises(FramingError):
             viterbi_decode(np.zeros(5, np.uint8))
+        with pytest.raises(FramingError):
+            viterbi_decode(np.uint8(0))  # a 0-d input is one coded bit
 
     @given(st.lists(st.integers(0, 1), max_size=40))
     @settings(deadline=None)
@@ -473,3 +475,22 @@ class TestViterbi:
         out = viterbi_decode(noisy.astype(np.uint8))
         for row_in, row_out in zip(noisy, out):
             assert np.array_equal(viterbi_decode(row_in.astype(np.uint8)), row_out)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 46), (0, 46), (3, 0), (2, 3, 0)])
+    def test_any_batch_shape_equals_rowwise(self, shape):
+        rng = np.random.default_rng(9)
+        n_out = max(shape[-1] // 2 - (K - 1), 0)
+        data = rng.integers(0, 2, shape[:-1] + (n_out,), dtype=np.uint8)
+        coded = conv_encode(data) if shape[-1] else np.zeros(shape, np.uint8)
+        noisy = coded ^ (rng.random(shape) < 0.05).astype(np.uint8)
+        out = viterbi_decode(noisy)
+        assert out.shape == shape[:-1] + (n_out,) and out.dtype == np.uint8
+        for row in np.ndindex(shape[:-1]):
+            assert np.array_equal(viterbi_decode(noisy[row]), out[row]), row
+
+    @pytest.mark.parametrize("lead", [(), (1,), (4,), (0,), (2, 3), (0, 2)])
+    @pytest.mark.parametrize("n_coded", [1, 2, 3, 47])
+    def test_framing_error_whatever_the_batch_shape(self, lead, n_coded):
+        # odd lengths, and one coded pair, too short for the flush tail
+        with pytest.raises(FramingError):
+            viterbi_decode(np.zeros(lead + (n_coded,), np.uint8))

@@ -30,6 +30,11 @@ def write_tiny_config(path):
 def test_snr_grid_parsing():
     assert parse_snr_grid("-10:5:20") == (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
     assert parse_snr_grid("-5,0,5") == (-5.0, 0.0, 5.0)
+    # a descending range has no points, and a config cannot sweep nothing
+    assert parse_snr_grid("5:1:0") == ()
+    assert parse_snr_grid("1e308:1:-1e308") == ()  # the span overflows to -inf
+    with pytest.raises(ConfigError):
+        SimConfig(snr_grid_db=parse_snr_grid("5:1:0"))
     with pytest.raises(ConfigError):
         parse_snr_grid("0:-1:10")
     with pytest.raises(ConfigError):

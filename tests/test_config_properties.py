@@ -1,12 +1,21 @@
 """Property tests for the SNR grid parser and the config validator."""
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mclink import SimConfig
-from mclink.config import MAX_SNR_DB, MAX_SNR_POINTS, parse_snr_grid
+from mclink import SimConfig, modem
+from mclink.config import (
+    MAX_SNR_DB,
+    MAX_SNR_POINTS,
+    MAX_SUBCARRIERS,
+    MAX_WORKERS,
+    load_config,
+    parse_snr_grid,
+)
+from mclink.engine import _run_chunk
 from mclink.errors import ConfigError
 
 props = settings(deadline=None, max_examples=150)
@@ -84,3 +93,81 @@ def test_validate_accepts_exactly_the_usable_grids(grid):
     else:
         with pytest.raises(ConfigError):
             SimConfig(snr_grid_db=grid)
+
+
+def mostly(valid, invalid):
+    """Draws ``valid``, and ``invalid`` one time in 16."""
+    return st.sampled_from([valid] * 15 + [invalid]).flatmap(lambda drawn: drawn)
+
+
+@st.composite
+def config_fields(draw):
+    """Every ``SimConfig`` field over a range wider than the accepted one,
+    with small frames; the SNR values reach past the bound, where
+    10^(-snr/10) overflows or underflows."""
+    schemes = st.sampled_from(modem.SCHEMES + ("QPSK",))
+    snr_values = st.one_of(
+        st.floats(-5000.0, 5000.0),
+        st.sampled_from([math.nan, math.inf, -math.inf, -4000.0, 1e308]),
+    )
+    n_sc = draw(mostly(st.integers(1, 64), st.sampled_from([-1, 0, MAX_SUBCARRIERS + 1])))
+    min_bits = draw(mostly(st.integers(10_000, 2_000_000), st.integers(-1, 9_999)))
+    return dict(
+        modulations=draw(mostly(st.lists(schemes, min_size=1, max_size=3, unique_by=str.lower),
+                                st.lists(st.sampled_from(modem.SCHEMES + ("QPSK", "bpsk")),
+                                         max_size=3))),
+        snr_grid_db=draw(st.lists(in_bound | st.just(math.inf), min_size=1, max_size=3,
+                                  unique=True).map(sorted)
+                         | st.lists(snr_values, max_size=3).map(sorted)),
+        n_subcarriers=n_sc,
+        cp_len=draw(mostly(st.integers(0, max(n_sc, 0)), st.integers(-2, n_sc + 2))),
+        detector=draw(mostly(st.sampled_from(["zf", "realzf"]), st.just("mmse"))),
+        seed=draw(mostly(st.integers(0, 1 << 70), st.integers(-3, -1))),
+        min_bits=min_bits,
+        max_bit_errors=draw(mostly(st.integers(1, 1000), st.integers(-1, 0))),
+        max_bits=draw(mostly(st.integers(min_bits, 10_000_000), st.integers(-1, min_bits))),
+        workers=draw(mostly(st.integers(1, MAX_WORKERS),
+                            st.sampled_from([-1, 0, MAX_WORKERS + 1]))),
+        n_rx=draw(mostly(st.integers(1, 4), st.sampled_from([-1, 0, 5]))),
+        spreading=draw(st.booleans()),
+        fec=draw(st.booleans()),
+        split_tx_power=draw(st.booleans()),
+        frame_payload_bits=draw(mostly(st.integers(1, 300), st.sampled_from([-1, 0, 250_001]))),
+        frames_per_chunk=draw(mostly(st.integers(1, 8), st.integers(-1, 0))),
+        gain_reference=draw(mostly(schemes, st.just("bpsk"))),
+        gain_at_snr_db=draw(st.floats()),
+    )
+
+
+def config_text(cfg):
+    """``cfg`` as config-file lines, one per field."""
+    def text(value):
+        if isinstance(value, tuple):
+            return ",".join(text(v) for v in value)
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return repr(value) if isinstance(value, float) else str(value)
+    return "".join(f"{f.name} = {text(getattr(cfg, f.name))}\n" for f in dataclasses.fields(cfg))
+
+
+@settings(deadline=None, max_examples=200)
+@example(fields=dict(modulations=["qpsk"], snr_grid_db=[-4000.0], n_subcarriers=8, cp_len=2,
+                     detector="zf", seed=1, min_bits=10_000, max_bit_errors=1, max_bits=10_000,
+                     workers=1, n_rx=4, spreading=True, fec=True, split_tx_power=False,
+                     frame_payload_bits=10, frames_per_chunk=1, gain_reference="qpsk",
+                     gain_at_snr_db=0.0))
+@given(fields=config_fields())
+def test_every_config_that_builds_runs_a_chunk(tmp_path_factory, fields):
+    assert set(fields) == {f.name for f in dataclasses.fields(SimConfig)}
+    try:
+        cfg = SimConfig(**fields)
+    except ConfigError:
+        return
+    path = tmp_path_factory.mktemp("cfg") / "sim.cfg"
+    path.write_text(config_text(cfg), encoding="utf-8")
+    assert load_config(path) == cfg
+    for modulation in cfg.modulations:
+        for snr_db in cfg.snr_grid_db:
+            bits, errors, _ = _run_chunk(cfg, modulation, snr_db, 0)
+            assert bits == cfg.chunk_payload_bits
+            assert 0 <= errors <= bits

@@ -390,3 +390,50 @@ class TestBlockLayouts:
         h[1][:, rank_one] = (0.3 + 0.7j) * h[0][:, rank_one]
         with pytest.raises(SingularChannelError, match=f"^{rank_one.sum()} channel block"):
             zf_weights(h.transpose(2, 1, 0))
+
+
+def real_decomposition_reference(h, y):
+    """``real_decomposition`` by 16 strided block writes and 4 receive writes,
+    its first construction."""
+    h, y = np.asarray(h), np.asarray(y)
+    n_rx = h.shape[-2]
+    h1r, h1i = h[..., 0].real, h[..., 0].imag
+    h2r, h2i = h[..., 1].real, h[..., 1].imag
+    hh = np.empty(h.shape[:-2] + (4 * n_rx, 4))
+    hh[..., 0::4, 0], hh[..., 0::4, 1], hh[..., 0::4, 2], hh[..., 0::4, 3] = h1r, h2r, -h1i, -h2i
+    hh[..., 1::4, 0], hh[..., 1::4, 1], hh[..., 1::4, 2], hh[..., 1::4, 3] = h1i, h2i, h1r, h2r
+    hh[..., 2::4, 0], hh[..., 2::4, 1], hh[..., 2::4, 2], hh[..., 2::4, 3] = h2r, -h1r, h2i, -h1i
+    hh[..., 3::4, 0], hh[..., 3::4, 1], hh[..., 3::4, 2], hh[..., 3::4, 3] = h2i, -h1i, -h2r, h1r
+    yh = np.empty(y.shape[:-2] + (4 * n_rx,))
+    yh[..., 0::4], yh[..., 1::4] = y[..., 0].real, y[..., 0].imag
+    yh[..., 2::4], yh[..., 3::4] = y[..., 1].real, y[..., 1].imag
+    return hh, yh
+
+
+class TestRealDecompositionBytes:
+    # the sign table must reproduce the slot equations bit for bit, signed
+    # zeros included, so realzf's estimates keep their bytes
+    @pytest.mark.parametrize("n_rx", [1, 2, 3, 4])
+    def test_bytes_equal_reference_on_every_layout(self, n_rx):
+        rng = np.random.default_rng(70 + n_rx)
+        for name, (h, y) in layouts(rng, n_rx).items():
+            if name != "broadcast":
+                # one block of signed-zero parts, h1_re and h2_im, whose
+                # negations in the table must come out as +0.0
+                h[0, 0].real[:, 0] = -0.0
+                h[0, 0].imag[:, 1] = 0.0
+                y[0, 0].imag[:, 0] = -0.0
+            h_hat, y_hat = real_decomposition(h, y)
+            ref_h, ref_y = real_decomposition_reference(h, y)
+            assert h_hat.shape == ref_h.shape and h_hat.dtype == ref_h.dtype, name
+            assert h_hat.tobytes() == ref_h.tobytes(), name
+            assert y_hat.shape == ref_y.shape and y_hat.dtype == ref_y.dtype, name
+            assert y_hat.tobytes() == ref_y.tobytes(), name
+            if name != "broadcast":
+                zeros = ref_h[ref_h == 0]
+                assert np.signbit(zeros).any() and not np.signbit(zeros).all(), name
+            a = np.einsum("...ji,...jk->...ik", ref_h, ref_h)
+            b = np.einsum("...ji,...j->...i", ref_h, ref_y)
+            u = np.linalg.solve(a, b[..., None])[..., 0]
+            est = realzf_detect(h, y).estimates
+            assert est.tobytes() == (u[..., 0:2] + 1j * u[..., 2:4]).tobytes(), name

@@ -257,3 +257,10 @@ def test_map_preserves_batch_shape():
     symbols = modem.map_bits(bits, c)
     assert symbols.shape == (4, 3)
     assert modem.demap_symbols(symbols, c).shape == (4, 9)
+    # a 0-d symbol demaps to one symbol's bits, by table and by slicing
+    for name in ("8psk", "64qam"):
+        c = modem.CONSTELLATIONS[name]
+        point = c.points[5]
+        bits = modem.demap_symbols(np.complex128(point), c)
+        assert bits.shape == (c.bits_per_symbol,)
+        assert np.array_equal(bits, modem.demap_symbols(np.array([point]), c))
