@@ -72,11 +72,6 @@ class SimConfig:
     n_rx: int = 4
     spreading: bool = True
     fec: bool = True
-    # transmit power: False drives each antenna at unit symbol energy, True
-    # splits unit total power across the 2 antennas (-3 dB).  With the grid
-    # SNR read per coded payload bit (engine.effective_es_n0_db), only False
-    # lands the target BER bands (see README "SNR reference")
-    split_tx_power: bool = False
     # Monte Carlo batching: payload bits per FEC frame and frames per chunk;
     # results are deterministic in (config, seed) including these two.
     frame_payload_bits: int = 200

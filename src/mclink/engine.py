@@ -113,10 +113,6 @@ def _detect_alamouti(cfg: SimConfig, c: modem.Constellation, groups: np.ndarray,
         x = ofdm_demodulate(x, cfg.cp_len)
         h = draw_channel(gain_rng, n_sc, n_blocks=x.shape[1] // 2, n_rx=cfg.n_rx)
         redraws += _redraw_weak_blocks(h, redraw_rng)
-        if cfg.split_tx_power:
-            # each antenna sends half the unit symbol energy; the mix is
-            # linear, so scaling the gains scales what the antennas send
-            h *= 1.0 / math.sqrt(2.0)
         y = apply_channel(x, h, NoiseConfig(es_n0_db), noise_rng)
         if cfg.detector == "realzf":
             out = realzf_detect(h, y)

@@ -15,6 +15,7 @@ scan the point table in label order, which breaks ties the same way.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,12 +137,18 @@ def map_bits(data: np.ndarray, c: Constellation) -> np.ndarray:
         raise FramingError(
             f"{data.shape[-1]} bits do not fill whole {c.name} symbols of {b} bits"
         )
-    groups = data.reshape(data.shape[:-1] + (-1, b))
+    groups = data.reshape(data.shape[:-1] + (data.shape[-1] // b, b))
     labels = groups[..., 0].copy()  # at most 6 bits: uint8 labels
     for k in range(1, b):
         labels <<= 1
         labels |= groups[..., k]
     return c.points.take(labels)
+
+
+def _bits_shape(shape: tuple[int, ...], c: Constellation) -> tuple[int, ...]:
+    """The bits' shape for symbols of ``shape``: the last axis times the bits
+    per symbol, and one symbol's bits for a 0-d symbol."""
+    return shape[:-1] + (math.prod(shape[-1:]) * c.bits_per_symbol,)
 
 
 def demap_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
@@ -164,7 +171,7 @@ def demap_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
         np.abs(x, out=x)
         x -= 1 << (n - k)
         np.less(x, 0, out=bits[:, k::n])
-    return bits.reshape(shape[:-1] + (-1,))
+    return bits.reshape(_bits_shape(shape, c))
 
 
 #: Distances computed per table-demap chunk: two work arrays of this many
@@ -172,14 +179,14 @@ def demap_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
 _DEMAP_CHUNK_VALUES = 1 << 15
 
 
-def _demap_nearest(symbols: np.ndarray, c: Constellation, chunk: int | None = None) -> np.ndarray:
+def _demap_nearest(symbols: np.ndarray, c: Constellation) -> np.ndarray:
     """Table search: the label of the nearest grid point, lowest on a tie.
 
-    Distances are taken ``chunk`` symbols at a time into reused work arrays of
-    ``chunk x order`` values, by default ``_DEMAP_CHUNK_VALUES``: 4,096
-    symbols for 8-PSK and 8-QAM, 1,024 for 32-QAM.
+    Distances are taken into reused work arrays of ``_DEMAP_CHUNK_VALUES``
+    values, a chunk of symbols at a time: 4,096 symbols for 8-PSK and 8-QAM,
+    1,024 for 32-QAM.
     """
-    chunk = chunk or max(1, _DEMAP_CHUNK_VALUES // c.order)
+    chunk = _DEMAP_CHUNK_VALUES // c.order
     flat = np.asarray(symbols).reshape(-1) * c.scale
     labels = np.empty(flat.size, dtype=np.intp)
     work_re = np.empty((min(chunk, flat.size), c.order))
@@ -197,5 +204,4 @@ def _demap_nearest(symbols: np.ndarray, c: Constellation, chunk: int | None = No
     b = c.bits_per_symbol
     shifts = np.arange(b - 1, -1, -1, dtype=np.uint8)
     bits = (labels.astype(np.uint8)[:, None] >> shifts) & 1
-    shape = np.shape(symbols)
-    return bits.reshape(shape[:-1] + (-1,))
+    return bits.reshape(_bits_shape(np.shape(symbols), c))

@@ -60,9 +60,10 @@ def test_config_file_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(bad)
     # fields that were removed
-    for line in ("cond_cap = 1e8", "tx_mode = siso", "snr_reference = es",
-                 "spreading_chips = 1,0,1,1,0,0,1,0", "conv_constraint_length = 3",
-                 "conv_generators = 7,5", "message_taps = 40000041"):
+    for line in ("split_tx_power = true", "cond_cap = 1e8", "tx_mode = siso",
+                 "snr_reference = es", "spreading_chips = 1,0,1,1,0,0,1,0",
+                 "conv_constraint_length = 3", "conv_generators = 7,5",
+                 "message_taps = 40000041"):
         bad.write_text(line + "\n")
         with pytest.raises(ConfigError, match=f"unknown key '{line.split()[0]}'"):
             load_config(bad)
@@ -378,6 +379,7 @@ def test_unknown_gain_reference_fails_before_the_sweep(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     # removed fields
+    "split_tx_power = true",
     "tx_mode = siso",
     "snr_reference = es",
     "spreading_chips = 1,0,1,1,0,0,1,0",

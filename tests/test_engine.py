@@ -369,16 +369,12 @@ def chunk_stream(seed):
     return _chunk_rng(seed, "16qam", 3.0, 0)
 
 
-def detect_alamouti_untiled(cfg, c, groups, snr_db, rng, scale_stream=False):
+def detect_alamouti_untiled(cfg, c, groups, snr_db, rng):
     """The whole-stream link from its public stages: the bit groups mapped
     with ``map_bits``, zero-padded to whole slot pairs of frames, and one
     call of each stage over every (pair, subcarrier) block at once, on the
     three child streams.  Returns the estimates of the groups' symbols in
-    stream order and the redraw count.
-
-    Under ``split_tx_power`` the gains are scaled once, before the mix, as
-    the engine does; ``scale_stream`` instead scales the STBC output and,
-    after the mix, the gains the detector sees."""
+    stream order and the redraw count."""
     from mclink.channel import NoiseConfig, apply_channel, draw_channel
     from mclink.engine import _redraw_weak_blocks
     from mclink.mimo import build_effective, realzf_detect, stbc_encode, zf_detect
@@ -389,14 +385,11 @@ def detect_alamouti_untiled(cfg, c, groups, snr_db, rng, scale_stream=False):
     frames = np.zeros((-(-symbols.size // (2 * n_sc)) * 2, n_sc), dtype=complex)
     frames.reshape(-1)[: symbols.size] = symbols
     gain_rng, noise_rng, redraw_rng = rng.spawn(3)
-    amp = 1.0 / math.sqrt(2.0) if cfg.split_tx_power else 1.0
-    stream_amp, gain_amp = (amp, 1.0) if scale_stream else (1.0, amp)
-    x = ofdm_modulate(stbc_encode(frames) * stream_amp, cfg.cp_len)
+    x = ofdm_modulate(stbc_encode(frames), cfg.cp_len)
     x_freq = ofdm_demodulate(x, cfg.cp_len)
     h = draw_channel(gain_rng, n_sc, n_blocks=frames.shape[0] // 2, n_rx=cfg.n_rx)
     redraws = _redraw_weak_blocks(h, redraw_rng)
-    y = apply_channel(x_freq, h * gain_amp, NoiseConfig(snr_db), noise_rng)
-    h *= amp  # the gains the detector sees
+    y = apply_channel(x_freq, h, NoiseConfig(snr_db), noise_rng)
     if cfg.detector == "realzf":
         out = realzf_detect(h, y)
     else:
@@ -441,14 +434,13 @@ class TestTiledDetection:
     @pytest.mark.parametrize("n_sc,n_pairs", FRAMES)
     @pytest.mark.parametrize("detector", ["zf", "realzf"])
     @pytest.mark.parametrize("n_rx", [1, 4])
-    @pytest.mark.parametrize("split", [False, True])
-    def test_estimates_equal_untiled(self, monkeypatch, n_sc, n_pairs, detector, n_rx, split):
+    def test_estimates_equal_untiled(self, monkeypatch, n_sc, n_pairs, detector, n_rx):
         from mclink import engine
 
         step = max(1, engine.TILE_BLOCKS // n_sc)
         assert n_pairs > step and (n_pairs % step or step == 1)
         cfg = fast_profile(n_subcarriers=n_sc, cp_len=min(16, n_sc), detector=detector,
-                           n_rx=n_rx, split_tx_power=split)
+                           n_rx=n_rx)
         c = modem.get_constellation("16qam")
         n_symbols = (2 * n_pairs - 1) * n_sc + 1
         groups = random_groups(n_sc, n_symbols, c)
@@ -475,23 +467,6 @@ class TestTiledDetection:
         assert np.array_equal(hard, modem.demap_symbols(ref, c).reshape(groups.shape))
         assert redraws == ref_redraws
         assert position == rng.standard_normal()
-
-    @pytest.mark.parametrize("detector", ["zf", "realzf"])
-    @pytest.mark.parametrize("n_rx", [1, 4])
-    def test_split_power_scaling_the_gains_matches_scaling_the_stream(
-            self, monkeypatch, detector, n_rx):
-        # 40 slot pairs of 64 subcarriers: two tiles, of 32 and 8 pairs
-        cfg = fast_profile(n_subcarriers=64, cp_len=16, detector=detector,
-                           n_rx=n_rx, split_tx_power=True)
-        c = modem.get_constellation("16qam")
-        groups = random_groups(3, 80 * 64, c)
-        est, _, redraws = detect_tiled(monkeypatch, cfg, c, groups, 3.0, chunk_stream(40))
-        # the order before the gains took the scaling: the STBC output scaled
-        # by 1/sqrt(2), then the same factor on the gains the detector sees
-        ref, ref_redraws = detect_alamouti_untiled(
-            cfg, c, groups, 3.0, chunk_stream(40), scale_stream=True)
-        assert redraws == ref_redraws
-        assert np.allclose(est, ref, rtol=0.0, atol=1e-12)
 
     def test_injected_zero_block_redrawn_without_moving_gains_or_noise(self, monkeypatch):
         from mclink import channel, engine
@@ -616,9 +591,11 @@ def mrc_rayleigh_ber(snr_db: float, branches: int) -> float:
 
 
 class TestAnalyticOracle:
-    # Uncoded, unspread QPSK through Alamouti and ZF is 2*n_rx-branch MRC;
-    # splitting the transmit power halves each branch's SNR.  The seed and
-    # the 4-standard-error tolerance are fixed, not tuned to the outcome.
+    # Uncoded, unspread QPSK through Alamouti and ZF is 2*n_rx-branch MRC.
+    # A ``split`` point is one of unit total power split across the two
+    # transmit antennas, which halves each branch's SNR: it runs on the grid
+    # 10*log10(2) dB lower (README "SNR reference").  The seed and the
+    # 4-standard-error tolerance are fixed, not tuned to the outcome.
     @pytest.mark.parametrize("n_rx,split,snr_db", [
         (1, False, 5.0), (2, False, 0.0), (4, False, -5.0),
         (1, True, 0.0), (2, True, 5.0), (4, True, 0.0),
@@ -626,13 +603,13 @@ class TestAnalyticOracle:
     def test_uncoded_qpsk_matches_mrc_closed_form(self, n_rx, split, snr_db):
         from mclink.engine import _run_chunk
 
-        cfg = fast_profile(fec=False, spreading=False, n_rx=n_rx, split_tx_power=split, seed=123)
+        cfg = fast_profile(fec=False, spreading=False, n_rx=n_rx, seed=123)
+        grid_db = snr_db - 10.0 * math.log10(2.0) if split else snr_db
         rates = []
         for chunk in range(20):
-            bits, errors, _ = _run_chunk(cfg, "qpsk", snr_db, chunk)
+            bits, errors, _ = _run_chunk(cfg, "qpsk", grid_db, chunk)
             rates.append(errors / bits)
-        gamma_db = snr_db - 10.0 * math.log10(2.0) if split else snr_db
-        expected = mrc_rayleigh_ber(gamma_db, 2 * n_rx)
+        expected = mrc_rayleigh_ber(grid_db, 2 * n_rx)
         # batch means: the spread of the 20 chunk BERs, which counts errors
         # that cluster within a fading block
         stderr = np.std(rates, ddof=1) / math.sqrt(len(rates))

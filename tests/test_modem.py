@@ -57,15 +57,22 @@ def test_map_equals_weighted_sum_labels(c):
 
 
 @pytest.mark.parametrize("c", ALL, ids=lambda c: c.name)
-def test_demap_unchanged_across_chunk_sizes(c):
+def test_demap_unchanged_across_chunk_sizes(monkeypatch, c):
     rng = np.random.default_rng(c.order)
     noisy = rng.standard_normal((7, 611)) + 1j * rng.standard_normal((7, 611))
     # exact midpoints between neighbouring points exercise the tie rule
     mids = ((c.points[:, None] + c.points[None, :]) / 2).reshape(1, -1)
+    default = modem._DEMAP_CHUNK_VALUES
+
+    def demap(symbols, chunk):
+        monkeypatch.setattr(modem, "_DEMAP_CHUNK_VALUES", chunk * c.order)
+        return modem._demap_nearest(symbols, c)
+
     for symbols in (noisy, mids):
-        whole = modem._demap_nearest(symbols, c, chunk=symbols.size)
+        whole = demap(symbols, symbols.size)
         for chunk in (1, 3, 64, 2048, 1 << 15):
-            assert np.array_equal(modem._demap_nearest(symbols, c, chunk=chunk), whole)
+            assert np.array_equal(demap(symbols, chunk), whole)
+        monkeypatch.setattr(modem, "_DEMAP_CHUNK_VALUES", default)
         assert np.array_equal(modem._demap_nearest(symbols, c), whole)
 
 
@@ -264,3 +271,11 @@ def test_map_preserves_batch_shape():
         bits = modem.demap_symbols(np.complex128(point), c)
         assert bits.shape == (c.bits_per_symbol,)
         assert np.array_equal(bits, modem.demap_symbols(np.array([point]), c))
+    # an empty batch maps and demaps to an empty batch of the same lead shape
+    for c in ALL:
+        b = c.bits_per_symbol
+        symbols = modem.map_bits(np.zeros((0, 5 * b), np.uint8), c)
+        assert symbols.shape == (0, 5)
+        assert modem.demap_symbols(np.zeros((0, 5), complex), c).shape == (0, 5 * b)
+        assert modem._demap_nearest(np.zeros((0, 5), complex), c).shape == (0, 5 * b)
+        assert modem.demap_symbols(np.zeros((3, 0), complex), c).shape == (3, 0)
