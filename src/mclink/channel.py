@@ -7,11 +7,12 @@ across antennas, slots and subcarriers with variance sigma2 per complex
 sample.
 
 Both draws are pair-major, as (n_blocks, n_rx, 2, n_subcarriers) with the 2
-the transmit antenna (gains) or the slot (noise), each sample's real part
-drawn before its imaginary part.  Drawing consecutive runs of slot pairs
-therefore consumes a stream exactly as one draw over all of them, so a
-caller may run the link a tile of slot pairs at a time and get the same
-bytes for any tile.
+the transmit antenna (gains) or the slot (noise), and polar: each slot pair
+draws its samples' exponential |z|^2, then their uniform phases, whose cos
+and sin run in float32 (within 1e-6 |z| of the float64 map).  Drawing
+consecutive runs of slot pairs therefore consumes a stream exactly as one
+draw over all of them, so a caller may run the link a tile of slot pairs at
+a time and get the same bytes for any tile.
 
 Gains and received samples have the shape (n_blocks, n_subcarriers, n_rx, 2):
 each block is y = H a + n, with the n_rx x 2 received slots beside the
@@ -21,6 +22,7 @@ innermost and the mix and the detector's ufuncs run along them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +40,25 @@ class NoiseConfig:
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0, 1) samples: real and imaginary parts each with variance 1/2.
+    """CN(0, 1) samples in polar form: |z|^2 ~ Exp(1) and arg z ~ U[0, 2 pi).
 
-    Each sample's real part is drawn and then its imaginary part, in C order,
-    so draws of consecutive slices along the first axis concatenate to one
-    draw of the whole.
+    Each row along the first axis draws its |z|^2 = E and then its phases u,
+    in C order, so draws of consecutive slices along the first axis
+    concatenate to one draw of the whole.  The phase 2 pi u is rounded to
+    float32, whose cos and sin cost a tenth of float64's: each sample lies
+    within 1e-6 |z| of sqrt(E) exp(2 pi i u) for its float64 draws E and u.
     """
     out = np.empty(shape, dtype=complex)
-    parts = out.reshape(-1).view(np.float64)
-    rng.standard_normal(out=parts)
-    parts *= np.sqrt(0.5)
+    energy = np.empty((len(out) if out.ndim else 1, math.prod(out.shape[1:])))
+    u = np.empty_like(energy)
+    for e_row, u_row in zip(energy, u):
+        rng.standard_exponential(out=e_row)
+        rng.random(out=u_row)
+    phase = (u * (2 * np.pi)).astype(np.float32)
+    radius = np.sqrt(energy, out=energy)
+    z = out.reshape(radius.shape)
+    np.multiply(radius, np.cos(phase), out=z.real)
+    np.multiply(radius, np.sin(phase), out=z.imag)
     return out
 
 

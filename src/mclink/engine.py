@@ -18,10 +18,11 @@ stop rule consumes chunks strictly in index order, which makes every output
 independent of worker count and scheduling.  A chunk's stream draws the
 source seed, then spawns three children: the fading gains, the noise and the
 weak-block redraws.  Gains and noise are drawn pair-major, both as (slot
-pair, receive antenna, 2, subcarrier) (see ``channel``), so the link runs
-one tile of slot pairs at a time, from mapping to demapping, and its bytes
-do not depend on the tile size.  A chunk holds its bits, coded and
-hard-decided, and no complex array larger than one tile.
+pair, receive antenna, 2, subcarrier), in polar form one slot pair at a time
+(see ``channel``), so the link runs one tile of slot pairs at a time, from
+mapping to demapping, and its bytes do not depend on the tile size.  A chunk
+holds its bits, coded and hard-decided, and no complex array larger than one
+tile.
 """
 from __future__ import annotations
 

@@ -8,17 +8,35 @@ from mclink.channel import NoiseConfig, apply_channel, complex_normal, draw_chan
 from mclink.engine import TILE_BLOCKS
 
 
-def complex_normal_interleaved(rng, shape):
-    """One N(0, 1) draw with a trailing (re, im) axis, scaled and read as
-    complex: each sample's real part, then its imaginary part, in C order."""
-    draw = rng.standard_normal(np.empty(shape).shape + (2,)) * np.sqrt(0.5)
-    return draw.view(complex)[..., 0]
+def polar_reference(rng, shape):
+    """CN(0, 1) from complex_normal's draws, mapped in float64: for each row
+    along the first axis, its |z|^2 ~ Exp(1) and then its phases u ~ U[0, 1),
+    and z = sqrt(|z|^2) exp(2 pi i u)."""
+    energy = np.empty(np.empty(shape).shape or (1,))
+    u = np.empty_like(energy)
+    for i in range(len(energy)):
+        rng.standard_exponential(out=energy[i : i + 1])
+        rng.random(out=u[i : i + 1])
+    return (np.sqrt(energy) * np.exp(2j * np.pi * u)).reshape(shape)
+
+
+def assert_polar_close(z, ref):
+    """complex_normal's float32 phase keeps each sample within 1e-6 |z|."""
+    assert z.shape == ref.shape and z.dtype == ref.dtype
+    assert np.all(np.abs(z - ref) <= 1e-6 * np.abs(ref))
+
+
+def assert_mix_plus_noise(y, mix, noise):
+    """y is the mix plus the noise: within 1e-6 of each noise sample's
+    magnitude, plus 1e-12 for a mix that rounds differently."""
+    assert y.shape == mix.shape == noise.shape
+    assert np.all(np.abs(y - mix - noise) <= 1e-6 * np.abs(noise) + 1e-12)
 
 
 def pair_major(rng, n_blocks, n_rx, n_sc):
     """CN(0, 1) samples drawn as (n_blocks, n_rx, 2, n_sc), the layout of
     both the gains and the noise, and seen as (n_blocks, n_sc, n_rx, 2)."""
-    return complex_normal_interleaved(rng, (n_blocks, n_rx, 2, n_sc)).transpose(0, 3, 1, 2)
+    return polar_reference(rng, (n_blocks, n_rx, 2, n_sc)).transpose(0, 3, 1, 2)
 
 
 def pair_major_noise(rng, n_blocks, n_rx, n_sc, sigma2):
@@ -27,14 +45,12 @@ def pair_major_noise(rng, n_blocks, n_rx, n_sc, sigma2):
     return pair_major(rng, n_blocks, n_rx, n_sc) * np.sqrt(sigma2)
 
 
-def apply_channel_einsum(x, h, noise, rng):
+def apply_channel_einsum(x, h):
+    """The noise-free mix, y[..., j, s] = sum_i h[..., j, i] x_i[s] per block."""
     n_tx, _, n_sc = x.shape
-    n_blocks, _, n_rx, _ = h.shape
+    n_blocks = h.shape[0]
     xb = x.reshape(n_tx, n_blocks, -1, n_sc)
-    y = np.einsum("bnji,ibsn->bnjs", h, xb)
-    if noise.sigma2 > 0.0:
-        y = y + pair_major_noise(rng, n_blocks, n_rx, n_sc, noise.sigma2)
-    return y
+    return np.einsum("bnji,ibsn->bnjs", h, xb)
 
 
 def test_noise_config_formula():
@@ -50,8 +66,8 @@ def test_draw_channel_is_one_pair_major_draw(n_rx):
     a_rng, b_rng, c_rng = (np.random.Generator(np.random.SFC64(24)) for _ in range(3))
     h = draw_channel(a_rng, n_sc, n_blocks=n_blocks, n_rx=n_rx)
     ref = pair_major(b_rng, n_blocks, n_rx, n_sc)
-    assert h.shape == ref.shape == (n_blocks, n_sc, n_rx, 2)
-    assert np.array_equal(h, ref)
+    assert h.shape == (n_blocks, n_sc, n_rx, 2)
+    assert_polar_close(h, ref)
     # held in the draw layout, the subcarriers innermost
     assert h.transpose(0, 2, 3, 1).flags.c_contiguous
     # draws of consecutive runs of slot pairs concatenate to one draw
@@ -171,17 +187,18 @@ def test_shape_mismatch_rejected():
         apply_channel(np.zeros((1, 4, 8), dtype=complex), h[..., :1], NoiseConfig(0.0), rng)
 
 
-# the formula is one interleaved draw; the test keeps its name from the
-# earlier two-draw stream (all real parts, then all imaginary parts)
+# the formula is the polar draw, one row along the first axis at a time; the
+# test keeps its name from an earlier stream (all real parts, then all
+# imaginary parts)
 @pytest.mark.parametrize("shape", [(), 5, (3,), (4, 0), (2, 3, 4, 2),
-                                   (3, 20_000), (2, 1 << 15), (1 << 15) + 1])
+                                   (3, 20_000), (2, 1 << 15), (1 << 15) + 1,
+                                   (0, 5), (0,)])
 def test_complex_normal_equals_two_draw_formula(shape):
     a_rng = np.random.default_rng(21)
     b_rng = np.random.default_rng(21)
     a = complex_normal(a_rng, shape)
-    b = complex_normal_interleaved(b_rng, shape)
-    assert a.shape == b.shape and a.dtype == b.dtype
-    assert np.array_equal(a, b)
+    b = polar_reference(b_rng, shape)
+    assert_polar_close(a, b)
     assert a_rng.standard_normal() == b_rng.standard_normal()  # same stream position
 
 
@@ -191,12 +208,14 @@ def test_apply_channel_matches_einsum_reference(snr_db):
     n_blocks, n_sc = 5, 12
     h = complex_normal(rng, (n_blocks, n_sc, 3, 2))
     x = complex_normal(rng, (2, 2 * n_blocks, n_sc))
+    noise = NoiseConfig(snr_db)
+    n = pair_major_noise(np.random.default_rng(23), n_blocks, 3, n_sc, noise.sigma2)
     # gains in C order and in draw_channel's layout
     for gains in (h, np.ascontiguousarray(h.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)):
-        y = apply_channel(x, gains, NoiseConfig(snr_db), np.random.default_rng(23))
-        ref = apply_channel_einsum(x, gains, NoiseConfig(snr_db), np.random.default_rng(23))
-        assert y.shape == ref.shape == (n_blocks, n_sc, 3, 2)
-        assert np.max(np.abs(y - ref)) <= 1e-12
+        y = apply_channel(x, gains, noise, np.random.default_rng(23))
+        mix = apply_channel_einsum(x, gains)
+        assert y.shape == (n_blocks, n_sc, 3, 2)
+        assert_mix_plus_noise(y, mix, n)
 
 
 # (subcarriers, slot pairs): the engine's tiles of 8 pairs with a remainder
@@ -217,18 +236,7 @@ def test_tiled_mix_equals_whole_chunk_reference_exactly(n_sc, n_blocks):
     ref = np.stack([h[..., 0] * x[0, s::2, :, None] + h[..., 1] * x[1, s::2, :, None]
                     for s in range(2)], axis=-1)
     assert np.array_equal(y, ref)
-    assert np.max(np.abs(y - apply_channel_einsum(x, h, NoiseConfig(math.inf), rng))) <= 1e-12
-
-
-def apply_channel_full_noise(x, h, noise, rng):
-    """The noise formula: one pair-major CN(0, 1) draw of shape
-    (n_blocks, n_rx, 2, n_sc), times sqrt(sigma2), added to the noise-free
-    mix."""
-    y = apply_channel(x, h, NoiseConfig(math.inf), rng)
-    if noise.sigma2 > 0.0:
-        n_blocks, n_sc, n_rx, _ = h.shape
-        y += pair_major_noise(rng, n_blocks, n_rx, n_sc, noise.sigma2)
-    return y
+    assert np.max(np.abs(y - apply_channel_einsum(x, h))) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -249,9 +257,12 @@ def test_apply_channel_tiled_noise_equals_full_draw(n_rx, n_blocks, n_sc, snr_db
     a_rng = np.random.default_rng(33)
     b_rng = np.random.default_rng(33)
     c_rng = np.random.default_rng(33)
+    # the noise formula: one pair-major CN(0, 1) draw of shape
+    # (n_blocks, n_rx, 2, n_sc), times sqrt(sigma2), added to the mix
     y = apply_channel(x, h, NoiseConfig(snr_db), a_rng)
-    ref = apply_channel_full_noise(x, h, NoiseConfig(snr_db), b_rng)
-    assert np.array_equal(y, ref)
+    mix = apply_channel(x, h, NoiseConfig(math.inf), b_rng)
+    n = pair_major_noise(b_rng, n_blocks, n_rx, n_sc, NoiseConfig(snr_db).sigma2)
+    assert_mix_plus_noise(y, mix, n)
     # two calls on the halves of the slot pairs draw what one call on all does
     half = n_blocks // 2
     halves = [apply_channel(x[:, 2 * p.start : 2 * p.stop], h[p], NoiseConfig(snr_db), c_rng)
@@ -259,3 +270,31 @@ def test_apply_channel_tiled_noise_equals_full_draw(n_rx, n_blocks, n_sc, snr_db
     assert np.array_equal(np.concatenate(halves), y)
     # same stream position
     assert a_rng.standard_normal() == b_rng.standard_normal() == c_rng.standard_normal()
+
+
+def test_complex_normal_distribution():
+    # 2^20 samples: each sample mean below has a standard error of
+    # sqrt(var / n), and the bounds are 5 of those, a 6e-7 false-alarm rate
+    n = 1 << 20
+    z = complex_normal(np.random.Generator(np.random.SFC64(2024)), (16, n // 16)).reshape(-1)
+    ks = [stats.kstest(np.abs(z) ** 2, "expon"),
+          stats.kstest(np.angle(z) % (2 * np.pi), "uniform", args=(0, 2 * np.pi)),
+          stats.kstest(z.real, "norm", args=(0, np.sqrt(0.5))),
+          stats.kstest(z.imag, "norm", args=(0, np.sqrt(0.5)))]
+    assert all(r.pvalue > 1e-3 for r in ks), [r.pvalue for r in ks]
+    # Var Re = Var Im = 1/2, each the mean of a square with variance 1/2
+    bound = 5 * np.sqrt(0.5 / n)
+    assert abs(np.mean(z.real ** 2) - 0.5) < bound
+    assert abs(np.mean(z.imag ** 2) - 0.5) < bound
+    # E z^2 = 0 for a circular draw; E |z^2|^2 = E |z|^4 = 2
+    assert abs(np.mean(z * z)) < 5 * np.sqrt(2 / n)
+
+
+@pytest.mark.parametrize("rest", [(), (7,), (3, 2, 5)])
+def test_complex_normal_rows_concatenate(rest):
+    a_rng = np.random.Generator(np.random.SFC64(31))
+    b_rng = np.random.Generator(np.random.SFC64(31))
+    whole = complex_normal(a_rng, (8,) + rest)
+    parts = [complex_normal(b_rng, (k,) + rest) for k in (3, 5)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    assert a_rng.standard_normal() == b_rng.standard_normal()  # same stream position

@@ -10,8 +10,9 @@ Two goldens live under tests/data:
 Both were written by the code that runs the link one tile of slot pairs at a
 time, on one SFC64 generator per chunk, with each chunk's gains, noise and
 weak-block redraws on three spawned child streams and the gains and noise
-drawn pair-major as (slot pair, receive antenna, 2, subcarrier), one
-interleaved (real, imaginary) normal pair per sample.
+drawn pair-major as (slot pair, receive antenna, 2, subcarrier), in polar
+form: per slot pair, every sample's exponential |z|^2, then its uniform
+phase.
 
 A kernel change that moves one error count or one printed digit fails here.
 A change that alters RNG consumption on purpose regenerates both with

@@ -74,13 +74,6 @@ class TestStbcEncode:
         ref[1, 0::2], ref[1, 1::2] = frames[1::2], np.conj(frames[0::2])
         assert np.array_equal(stbc_encode(frames), ref)
 
-    def test_block_energy_under_power_split(self):
-        rng = np.random.default_rng(14)
-        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        scaled = stbc_encode(a) / math.sqrt(2.0)
-        total = float(np.sum(np.abs(scaled) ** 2))
-        assert total == pytest.approx(np.abs(a[0]) ** 2 + np.abs(a[1]) ** 2, rel=1e-12)
-
 
 class TestEffectiveModel:
     def test_single_antenna_textbook_form(self):
