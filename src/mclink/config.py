@@ -4,7 +4,8 @@ The dataclass defaults are the full-size system (6400 subcarriers,
 1280-sample prefix, -10..20 dB sweep, Alamouti 2x4).  ``fast_profile``
 shrinks only the multicarrier frame so smoke tests and statistical checks run
 at desk scale with identical math.  The bit stages (PRBS-23 source, 8-chip
-spreading, K=3 (7,5) code) are fixed constants of ``bits`` and not fields.
+spreading, K=3 (7,5) code) are fixed constants of ``bits`` and not fields:
+every run spreads and codes.
 
 A ``SimConfig`` checks itself when built (constructor, ``dataclasses.replace``
 or ``load_config``) and raises ``ConfigError``.  Config file values and CLI
@@ -41,7 +42,7 @@ MAX_WORKERS = 64
 MAX_SNR_DB = 300.0
 
 #: What a field accepts, by the type of its default; a bool is no number here.
-_KINDS = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str, tuple: (tuple, list)}
+_KINDS = {int: numbers.Integral, float: numbers.Real, str: str, tuple: (tuple, list)}
 
 
 def _plain(name: str, value, default):
@@ -50,7 +51,7 @@ def _plain(name: str, value, default):
     if isinstance(default, tuple) and isinstance(value, (tuple, list)):
         return tuple(_plain(name, v, default[0]) for v in value)
     kind = type(default)
-    if not isinstance(value, _KINDS[kind]) or (kind is not bool and isinstance(value, bool)):
+    if not isinstance(value, _KINDS[kind]) or isinstance(value, bool):
         raise ConfigError(f"{name} must be {kind.__name__}, not {type(value).__name__} {value!r}")
     return kind(value)
 
@@ -67,11 +68,8 @@ class SimConfig:
     max_bit_errors: int = 100
     max_bits: int = 1_000_000
     workers: int = 1
-    # receive antennas and stage toggles (diagnostics / reference runs;
-    # n_rx = 1 is the Alamouti 2x1 reference)
+    # receive antennas (n_rx = 1 is the Alamouti 2x1 reference)
     n_rx: int = 4
-    spreading: bool = True
-    fec: bool = True
     # Monte Carlo batching: payload bits per FEC frame and frames per chunk;
     # results are deterministic in (config, seed) including these two.
     frame_payload_bits: int = 200
@@ -169,10 +167,6 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
     return tuple(round(start + i * step, 9) for i in range(count))
 
 
-_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-               "false": False, "no": False, "off": False, "0": False}
-
-
 def _parse_value(name: str, text: str, default):
     """Read ``text`` as the type of the field's ``default``; ConfigError if
     it cannot be read."""
@@ -182,10 +176,8 @@ def _parse_value(name: str, text: str, default):
     if name == "modulations":
         return tuple(p.strip() for p in text.split(",") if p.strip())
     try:
-        if type(default) is bool:
-            return _BOOL_WORDS[text.lower()]
         return type(default)(text)  # int, float or str
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigError(f"cannot read {name} = {text!r} as {type(default).__name__}") from None
 
 
@@ -194,7 +186,7 @@ def load_config(path) -> SimConfig:
     defaults = dataclasses.asdict(SimConfig())
     values = {}
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             lines = f.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read: {exc}") from exc

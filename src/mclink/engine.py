@@ -68,11 +68,10 @@ def _chunk_rng(seed: int, modulation: str, snr_db: float, chunk: int) -> np.rand
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def effective_es_n0_db(cfg: SimConfig, c: modem.Constellation, snr_db: float) -> float:
+def effective_es_n0_db(c: modem.Constellation, snr_db: float) -> float:
     """Symbol-level Es/N0 for a grid SNR read as energy per coded payload
-    bit: snr + 10*log10(bits per symbol * code rate)."""
-    code_rate = 0.5 if cfg.fec else 1.0
-    return snr_db + 10.0 * math.log10(c.bits_per_symbol * code_rate)
+    bit: snr + 10*log10(bits per symbol * 1/2, the code rate)."""
+    return snr_db + 10.0 * math.log10(c.bits_per_symbol * 0.5)
 
 
 def _redraw_weak_blocks(h: np.ndarray, rng: np.random.Generator) -> int:
@@ -125,7 +124,8 @@ def _detect_alamouti(cfg: SimConfig, c: modem.Constellation, groups: np.ndarray,
 
 
 def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tuple[int, int, int]:
-    """One deterministic batch of frames; returns (bits, errors, redraws)."""
+    """One deterministic batch of frames through the one chain: spread,
+    encode, the link, Viterbi, despread; returns (bits, errors, redraws)."""
     c = modem.get_constellation(modulation)
     rng = _chunk_rng(cfg.seed, c.name, snr_db, chunk)
 
@@ -133,8 +133,7 @@ def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tu
     payload = source.generate(cfg.chunk_payload_bits)
     payload = payload.reshape(cfg.frames_per_chunk, cfg.frame_payload_bits)
 
-    tx_bits = spread(payload) if cfg.spreading else payload
-    coded = conv_encode(tx_bits) if cfg.fec else tx_bits
+    coded = conv_encode(spread(payload))
     coded_len = coded.shape[-1]
     pad = (-coded_len) % c.bits_per_symbol
     if pad:
@@ -142,11 +141,10 @@ def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tu
             [coded, np.zeros(coded.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1
         )
     groups = coded.reshape(-1, c.bits_per_symbol)
-    hard, redraws = _detect_alamouti(cfg, c, groups, effective_es_n0_db(cfg, c, snr_db), rng)
+    hard, redraws = _detect_alamouti(cfg, c, groups, effective_es_n0_db(c, snr_db), rng)
 
     rx_coded = hard.reshape(coded.shape)[..., :coded_len]
-    rx_bits = viterbi_decode(rx_coded) if cfg.fec else rx_coded
-    rx_payload = despread(rx_bits) if cfg.spreading else rx_bits
+    rx_payload = despread(viterbi_decode(rx_coded))
 
     errors = int(np.count_nonzero(rx_payload != payload))
     return payload.size, errors, redraws

@@ -179,10 +179,9 @@ def real_decomposition(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nda
 def realzf_detect(h: np.ndarray, y: np.ndarray) -> DetectorOutput:
     """Solve the real normal equations (H_hat^T H_hat) u = H_hat^T y_hat."""
     h_hat, y_hat = real_decomposition(h, y)
-    a = np.einsum("...ji,...jk->...ik", h_hat, h_hat)
-    b = np.einsum("...ji,...j->...i", h_hat, y_hat)
+    h_t = h_hat.swapaxes(-1, -2)
     try:
-        u = np.linalg.solve(a, b[..., None])[..., 0]
+        u = np.linalg.solve(h_t @ h_hat, h_t @ y_hat[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularChannelError("real-valued channel matrix is singular") from exc
     return DetectorOutput(u[..., 0:2] + 1j * u[..., 2:4])

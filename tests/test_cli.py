@@ -60,7 +60,8 @@ def test_config_file_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(bad)
     # fields that were removed
-    for line in ("split_tx_power = true", "cond_cap = 1e8", "tx_mode = siso",
+    for line in ("spreading = true", "fec = false",
+                 "split_tx_power = true", "cond_cap = 1e8", "tx_mode = siso",
                  "snr_reference = es", "spreading_chips = 1,0,1,1,0,0,1,0",
                  "conv_constraint_length = 3", "conv_generators = 7,5",
                  "message_taps = 40000041"):
@@ -75,10 +76,18 @@ def test_config_file_errors(tmp_path):
         load_config(bad)
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    # editors that save "UTF-8 with BOM" put U+FEFF before the first key
+    path = tmp_path / "bom.cfg"
+    path.write_bytes("\ufeffseed = 3\nn_rx = 2\n".encode("utf-8"))
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_config(path) == SimConfig(seed=3, n_rx=2)
+
+
 def test_every_default_written_as_text_loads_back(tmp_path):
     # each value is read as the type of its field's default
     defaults = dataclasses.asdict(SimConfig())
-    assert {type(v) for v in defaults.values()} == {bool, int, float, str, tuple}
+    assert {type(v) for v in defaults.values()} == {int, float, str, tuple}
     path = tmp_path / "defaults.cfg"
     path.write_text("".join(
         f"{name} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}\n"
@@ -379,6 +388,8 @@ def test_unknown_gain_reference_fails_before_the_sweep(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     # removed fields
+    "spreading = true",
+    "fec = false",
     "split_tx_power = true",
     "tx_mode = siso",
     "snr_reference = es",

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mclink import SimConfig, fast_profile, load_config, run_chain, sweep
+from mclink import BerRecord, SimConfig, fast_profile, load_config, run_chain, sweep
 from mclink.config import MAX_CHUNK_PAYLOAD_BITS, MAX_SUBCARRIERS, MAX_WORKERS
 from mclink.engine import compute_gains, effective_es_n0_db, emit_results
 from mclink.errors import ConfigError
@@ -74,7 +74,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [
         dict(n_subcarriers=6400.0),
-        dict(fec="no"),
         dict(workers=2.5),
         dict(n_rx=True),
         dict(seed="1"),
@@ -124,13 +123,11 @@ class TestConfig:
         assert cfg.gain_reference == "64qam"
 
     def test_effective_snr_reference(self):
-        cfg = SimConfig()  # eb reference, fec on
+        # energy per payload bit through the rate-1/2 code
         c6 = modem.get_constellation("64qam")
         c2 = modem.get_constellation("qpsk")
-        assert effective_es_n0_db(cfg, c2, -5.0) == pytest.approx(-5.0)
-        assert effective_es_n0_db(cfg, c6, -5.0) == pytest.approx(-5.0 + 10 * math.log10(3))
-        nofec = dataclasses.replace(cfg, fec=False)
-        assert effective_es_n0_db(nofec, c6, -5.0) == pytest.approx(-5.0 + 10 * math.log10(6))
+        assert effective_es_n0_db(c2, -5.0) == pytest.approx(-5.0)
+        assert effective_es_n0_db(c6, -5.0) == pytest.approx(-5.0 + 10 * math.log10(3))
 
 
 class TestRunChain:
@@ -228,23 +225,43 @@ class TestSweep:
         assert r[1].ber >= r[2].ber
 
 
-class TestStageToggles:
+def uncoded_chunk(cfg, modulation, snr_db, chunk):
+    """Chunk ``chunk``'s payload sent unspread and uncoded, straight through
+    the link on the chunk's own stream, at Es/N0 = snr + 10*log10(bits per
+    symbol); returns (bits, errors)."""
+    from mclink.bits import PRBS_DEGREE, Prbs
+    from mclink.engine import _chunk_rng, _detect_alamouti
+
+    c = modem.get_constellation(modulation)
+    rng = _chunk_rng(cfg.seed, c.name, snr_db, chunk)
+    payload = Prbs(int(rng.integers(1, 1 << PRBS_DEGREE))).generate(cfg.chunk_payload_bits)
+    groups = payload.reshape(-1, c.bits_per_symbol)
+    es_n0_db = snr_db + 10.0 * math.log10(c.bits_per_symbol)
+    hard, _ = _detect_alamouti(cfg, c, groups, es_n0_db, rng)
+    return payload.size, int(np.count_nonzero(hard != groups))
+
+
+def uncoded_record(cfg, modulation, snr_db):
+    """The uncoded link's record over the chunks of a fixed-work point
+    (``min_bits == max_bits``)."""
+    counts = [uncoded_chunk(cfg, modulation, snr_db, chunk)
+              for chunk in range(-(-cfg.max_bits // cfg.chunk_payload_bits))]
+    return BerRecord(modulation, snr_db, *map(sum, zip(*counts)))
+
+
+class TestUncodedLink:
     def test_coding_and_spreading_help_at_zero_db(self):
         full = run_chain(tiny_cfg(min_bits=50_000, max_bits=50_000), "qpsk", 0.0)
-        bare = run_chain(
-            tiny_cfg(min_bits=50_000, max_bits=50_000, fec=False, spreading=False),
-            "qpsk", 0.0,
-        )
+        bare = uncoded_record(tiny_cfg(min_bits=50_000, max_bits=50_000), "qpsk", 0.0)
         slack = 2 * (full.ci95 + bare.ci95)
         assert full.ber <= bare.ber + slack
 
     def test_diversity_order_two_by_four_vs_two_by_one(self):
         # uncoded slope between 0 and 10 dB is steeper with 4 receive antennas
         def slope(n_rx):
-            cfg = tiny_cfg(min_bits=200_000, max_bits=200_000, fec=False,
-                           spreading=False, n_rx=n_rx)
-            lo = run_chain(cfg, "qpsk", 0.0)
-            hi = run_chain(cfg, "qpsk", 10.0)
+            cfg = tiny_cfg(min_bits=200_000, max_bits=200_000, n_rx=n_rx)
+            lo = uncoded_record(cfg, "qpsk", 0.0)
+            hi = uncoded_record(cfg, "qpsk", 10.0)
             floor = 0.5 / hi.bits
             return (math.log10(max(lo.ber, floor)) - math.log10(max(hi.ber, floor))) / 10.0
 
@@ -537,7 +554,7 @@ def run_chunk_untiled(cfg, modulation, snr_db, chunk):
     coded_len = coded.shape[-1]
     pad = np.zeros((cfg.frames_per_chunk, -coded_len % c.bits_per_symbol), dtype=np.uint8)
     coded = np.concatenate([coded, pad], axis=-1)
-    est, redraws = detect_alamouti_untiled(cfg, c, coded, effective_es_n0_db(cfg, c, snr_db), rng)
+    est, redraws = detect_alamouti_untiled(cfg, c, coded, effective_es_n0_db(c, snr_db), rng)
     rx_coded = modem.demap_symbols(est, c).reshape(coded.shape)[:, :coded_len]
     errors = int(np.count_nonzero(despread(viterbi_decode(rx_coded)) != payload))
     return (payload.size, errors, redraws), rx_coded
@@ -591,7 +608,8 @@ def mrc_rayleigh_ber(snr_db: float, branches: int) -> float:
 
 
 class TestAnalyticOracle:
-    # Uncoded, unspread QPSK through Alamouti and ZF is 2*n_rx-branch MRC.
+    # Uncoded, unspread QPSK through Alamouti and ZF is 2*n_rx-branch MRC;
+    # ``uncoded_chunk`` sends each chunk's payload through the link alone.
     # A ``split`` point is one of unit total power split across the two
     # transmit antennas, which halves each branch's SNR: it runs on the grid
     # 10*log10(2) dB lower (README "SNR reference").  The seed and the
@@ -601,13 +619,11 @@ class TestAnalyticOracle:
         (1, True, 0.0), (2, True, 5.0), (4, True, 0.0),
     ])
     def test_uncoded_qpsk_matches_mrc_closed_form(self, n_rx, split, snr_db):
-        from mclink.engine import _run_chunk
-
-        cfg = fast_profile(fec=False, spreading=False, n_rx=n_rx, seed=123)
+        cfg = fast_profile(n_rx=n_rx, seed=123)
         grid_db = snr_db - 10.0 * math.log10(2.0) if split else snr_db
         rates = []
         for chunk in range(20):
-            bits, errors, _ = _run_chunk(cfg, "qpsk", grid_db, chunk)
+            bits, errors = uncoded_chunk(cfg, "qpsk", grid_db, chunk)
             rates.append(errors / bits)
         expected = mrc_rayleigh_ber(grid_db, 2 * n_rx)
         # batch means: the spread of the 20 chunk BERs, which counts errors
