@@ -19,7 +19,7 @@ from . import __version__
 from .config import SimConfig, _parse_value, load_config
 from .engine import sweep
 from .errors import ConfigError
-from .results import OUTPUT_FILES, compute_gains, emit_results
+from .results import GAIN_AT_SNR_DB, GAIN_REFERENCE, OUTPUT_FILES, compute_gains, emit_results
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +85,7 @@ def _run_sweep(args) -> int:
     wall = time.perf_counter() - start
     gains = compute_gains(records, cfg)
     if not gains:
-        ref = f"{cfg.gain_reference} at {cfg.gain_at_snr_db} dB"
+        ref = f"{GAIN_REFERENCE} at {GAIN_AT_SNR_DB} dB"
         print(f"note: no gains: {ref} is not a swept point", file=sys.stderr)
     paths = emit_results(records, gains, cfg, out, wall)
     for r in records:

@@ -5,7 +5,9 @@ The dataclass defaults are the full-size system (6400 subcarriers,
 shrinks only the multicarrier frame so smoke tests and statistical checks run
 at desk scale with identical math.  The bit stages (PRBS-23 source, 8-chip
 spreading, K=3 (7,5) code) are fixed constants of ``bits`` and not fields:
-every run spreads and codes.
+every run spreads and codes.  The measurement protocol is fixed too: a point
+stops on ``engine.MAX_BIT_ERRORS`` errors, and ``results.GAIN_REFERENCE`` at
+``results.GAIN_AT_SNR_DB`` is the reference of every gain.
 
 A ``SimConfig`` checks itself when built (constructor, ``dataclasses.replace``
 or ``load_config``) and raises ``ConfigError``.  Config file values and CLI
@@ -65,7 +67,6 @@ class SimConfig:
     detector: str = "zf"               # zf | realzf
     seed: int = 20240
     min_bits: int = 100_000
-    max_bit_errors: int = 100
     max_bits: int = 1_000_000
     workers: int = 1
     # receive antennas (n_rx = 1 is the Alamouti 2x1 reference)
@@ -74,8 +75,6 @@ class SimConfig:
     # results are deterministic in (config, seed) including these two.
     frame_payload_bits: int = 200
     frames_per_chunk: int = 125
-    gain_reference: str = "64qam"
-    gain_at_snr_db: float = -5.0
 
     def __post_init__(self):
         """ConfigError on a mistyped or inconsistent field; stores plain values and canonical names."""
@@ -83,7 +82,6 @@ class SimConfig:
             object.__setattr__(self, f.name, _plain(f.name, getattr(self, f.name), f.default))
         try:
             mods = tuple(modem.get_constellation(m).name for m in self.modulations)
-            ref = modem.get_constellation(self.gain_reference).name
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
         if not mods:
@@ -108,18 +106,13 @@ class SimConfig:
             raise ConfigError("min_bits must be at least 10000")
         if self.max_bits < self.min_bits:
             raise ConfigError("max_bits must be >= min_bits")
-        if self.max_bit_errors < 1 or self.workers < 1:
-            raise ConfigError("max_bit_errors and workers must be positive")
-        if self.workers > MAX_WORKERS:
-            raise ConfigError(f"workers must be at most {MAX_WORKERS}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers must be between 1 and {MAX_WORKERS}")
         if self.frame_payload_bits < 1 or self.frames_per_chunk < 1:
             raise ConfigError("chunking sizes must be positive")
         if self.chunk_payload_bits > MAX_CHUNK_PAYLOAD_BITS:
             raise ConfigError(f"a chunk holds at most {MAX_CHUNK_PAYLOAD_BITS} payload bits")
-        if math.isnan(self.gain_at_snr_db):
-            raise ConfigError("gain_at_snr_db must be a number, not NaN")
         object.__setattr__(self, "modulations", mods)
-        object.__setattr__(self, "gain_reference", ref)
 
     @property
     def chunk_payload_bits(self) -> int:
@@ -176,7 +169,7 @@ def _parse_value(name: str, text: str, default):
     if name == "modulations":
         return tuple(p.strip() for p in text.split(",") if p.strip())
     try:
-        return type(default)(text)  # int, float or str
+        return type(default)(text)  # int or str
     except ValueError:
         raise ConfigError(f"cannot read {name} = {text!r} as {type(default).__name__}") from None
 

@@ -43,6 +43,9 @@ from .results import BerRecord, compute_gains, emit_results  # noqa: F401 - re-e
 #: continuous fading this never fires, it guards injected degenerate cases.
 GRAM_FLOOR = 1e-12
 
+#: Bit errors that stop a point once it has ``min_bits``: the fixed error target.
+MAX_BIT_ERRORS = 100
+
 #: Alamouti blocks (subcarrier x slot pair) per tile of the link.  With 4
 #: receive antennas a tile's gains, stacked channel and ZF weights are
 #: 256-512 KiB each, so its working set stays near a 2 MiB per-core L2 cache;
@@ -162,7 +165,7 @@ def run_chain(cfg: SimConfig, modulation: str, snr_db: float) -> BerRecord:
         errors += e
         redraws += r
         chunk += 1
-        if bits >= cfg.min_bits and (errors >= cfg.max_bit_errors or bits >= cfg.max_bits):
+        if bits >= cfg.min_bits and (errors >= MAX_BIT_ERRORS or bits >= cfg.max_bits):
             break
     return BerRecord(name, float(snr_db), bits, errors, redraws)
 

@@ -51,6 +51,10 @@ class GainRecord:
 
 EXTRAPOLATION_FLAG = "extrapolation-required"
 
+#: The gain report's fixed reference: every scheme against 64-QAM at -5 dB.
+GAIN_REFERENCE = "64qam"
+GAIN_AT_SNR_DB = -5.0
+
 
 def _curve(records, modulation):
     pts = sorted(
@@ -98,8 +102,8 @@ GAIN_CSV_HEADER = "modulation,reference,at_snr_db,gain_db,flag"
 
 
 def compute_gains(records: list[BerRecord], cfg: SimConfig) -> list[GainRecord]:
-    """Gain of each swept modulation against the configured reference."""
-    ref, at = cfg.gain_reference, cfg.gain_at_snr_db
+    """Gain of each swept modulation against the fixed reference, if it was swept."""
+    ref, at = GAIN_REFERENCE, GAIN_AT_SNR_DB
     if not any(r.modulation == ref and r.snr_db == at for r in records):
         return []
     have = {r.modulation for r in records}

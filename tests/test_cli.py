@@ -87,7 +87,7 @@ def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
 def test_every_default_written_as_text_loads_back(tmp_path):
     # each value is read as the type of its field's default
     defaults = dataclasses.asdict(SimConfig())
-    assert {type(v) for v in defaults.values()} == {int, float, str, tuple}
+    assert {type(v) for v in defaults.values()} == {int, str, tuple}
     path = tmp_path / "defaults.cfg"
     path.write_text("".join(
         f"{name} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}\n"
@@ -218,14 +218,11 @@ def test_manifest_of_an_inf_grid_is_strict_json(tmp_path):
 
     cfg_path = tmp_path / "sim.cfg"
     write_tiny_config(cfg_path)
-    with open(cfg_path, "a") as f:
-        f.write("gain_at_snr_db = -inf\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg_path), "--mod", "qpsk", "--snr", "0,inf",
                  "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
     assert manifest["config"]["snr_grid_db"] == [0.0, "inf"]
-    assert manifest["config"]["gain_at_snr_db"] == "-inf"
 
 
 def test_gains_missing_their_reference_point_are_named_on_stderr(tmp_path, capsys):
@@ -340,7 +337,7 @@ COMMITTED = {
     "table1.cfg": SimConfig(min_bits=100_000, max_bits=200_000, seed=412, workers=4),
     "comparison.cfg": SimConfig(
         n_subcarriers=256, cp_len=64, snr_grid_db=(-10.0, -5.0, 0.0, 5.0),
-        min_bits=100_000, max_bits=200_000, gain_at_snr_db=-5.0, seed=411, workers=4,
+        min_bits=100_000, max_bits=200_000, seed=411, workers=4,
     ),
 }
 
@@ -382,12 +379,11 @@ def assert_fails_before_the_sweep(tmp_path, capsys, line):
     assert not out.exists()
 
 
-def test_unknown_gain_reference_fails_before_the_sweep(tmp_path, capsys):
-    assert_fails_before_the_sweep(tmp_path, capsys, "gain_reference = 128qam")
-
-
 @pytest.mark.parametrize("line", [
-    # removed fields
+    # removed fields; the error target and the gain reference are constants
+    "max_bit_errors = 100",
+    "gain_reference = 64qam",
+    "gain_at_snr_db = -5",
     "spreading = true",
     "fec = false",
     "split_tx_power = true",
@@ -403,8 +399,6 @@ def test_unknown_gain_reference_fails_before_the_sweep(tmp_path, capsys):
     # just past the thread cap; the tiny grid has two points, so a missing
     # cap starts two threads, not 65
     "workers = 65",
-    # no gain can be read at NaN: the sweep ran and wrote a header-only gains.csv
-    "gain_at_snr_db = nan",
 ])
 def test_unservable_config_fails_before_the_sweep(tmp_path, capsys, line):
     assert_fails_before_the_sweep(tmp_path, capsys, line)

@@ -15,7 +15,7 @@ from mclink import modem
 # tiny multicarrier frame keeps unit-scale engine tests quick; math is
 # identical to the full profile
 TINY = dict(n_subcarriers=64, cp_len=16, min_bits=10_000, max_bits=20_000,
-            max_bit_errors=100, frame_payload_bits=100, frames_per_chunk=100)
+            frame_payload_bits=100, frames_per_chunk=100)
 
 
 def tiny_cfg(**over):
@@ -53,8 +53,6 @@ class TestConfig:
             dict(workers=0),
             dict(workers=MAX_WORKERS + 1),
             dict(seed=-1),
-            dict(gain_at_snr_db=math.nan),
-            dict(gain_reference="128qam"),
             # frames and chunks past the memory caps
             dict(n_subcarriers=MAX_SUBCARRIERS + 1),
             dict(frame_payload_bits=MAX_CHUNK_PAYLOAD_BITS + 1, frames_per_chunk=1),
@@ -77,7 +75,7 @@ class TestConfig:
         dict(workers=2.5),
         dict(n_rx=True),
         dict(seed="1"),
-        dict(gain_at_snr_db=True),
+        dict(snr_grid_db=(-5.0, True)),
         dict(snr_grid_db=-5.0),
         dict(modulations=("qpsk", 3)),
     ], ids=lambda bad: ",".join(f"{k}={v!r}" for k, v in bad.items()))
@@ -88,11 +86,10 @@ class TestConfig:
             dataclasses.replace(SimConfig(), **bad)
 
     def test_values_stored_as_plain_python(self):
-        cfg = SimConfig(seed=np.int64(3), snr_grid_db=[-5, 0], gain_at_snr_db=-5)
+        cfg = SimConfig(seed=np.int64(3), snr_grid_db=[-5, 0])
         assert type(cfg.seed) is int and cfg.seed == 3
         assert cfg.snr_grid_db == (-5.0, 0.0)
         assert all(type(v) is float for v in cfg.snr_grid_db)
-        assert type(cfg.gain_at_snr_db) is float
 
     def test_frame_and_chunk_caps_are_inclusive(self):
         assert SimConfig(n_subcarriers=MAX_SUBCARRIERS).n_subcarriers == 65_536
@@ -118,9 +115,8 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     def test_modulation_names_canonicalized(self):
-        cfg = SimConfig(modulations=("QPSK", "64-QAM"), gain_reference="64-QAM")
+        cfg = SimConfig(modulations=("QPSK", "64-QAM"))
         assert cfg.modulations == ("qpsk", "64qam")
-        assert cfg.gain_reference == "64qam"
 
     def test_effective_snr_reference(self):
         # energy per payload bit through the rate-1/2 code
@@ -175,6 +171,53 @@ class TestRunChain:
         rec = run_chain(SimConfig(min_bits=10_000, max_bits=10_000), "qpsk", -5.0)
         assert rec.bits >= 10_000
         assert 0 < rec.ber < 0.05
+
+
+class TestStopRule:
+    """``run_chain`` on scripted chunks: stop once min_bits is reached and
+    either ``MAX_BIT_ERRORS`` errors or max_bits."""
+
+    def run_scripted(self, monkeypatch, chunks, **over):
+        """``run_chain`` with chunk i returning ``chunks[i]`` as (bits, errors,
+        redraws); returns its record and the chunk indices it ran."""
+        from mclink import engine
+
+        ran = []
+
+        def scripted(cfg, modulation, snr_db, chunk):
+            ran.append(chunk)
+            return chunks[chunk]
+
+        monkeypatch.setattr(engine, "_run_chunk", scripted)
+        return run_chain(tiny_cfg(**over), "QPSK", 0.0), ran
+
+    def test_error_target_after_min_bits_stops_below_the_cap(self, monkeypatch):
+        from mclink.engine import MAX_BIT_ERRORS
+
+        assert MAX_BIT_ERRORS == 100
+        # 99 errors after four chunks, 100 after the fifth; a sixth is never run
+        chunks = [(4_000, e, 0) for e in (30, 30, 30, 9, 1, 50)]
+        rec, ran = self.run_scripted(monkeypatch, chunks, max_bits=100_000)
+        assert ran == [0, 1, 2, 3, 4]
+        assert rec == BerRecord("qpsk", 0.0, 20_000, 100, 0)
+
+    def test_error_target_before_min_bits_runs_to_min_bits(self, monkeypatch):
+        chunks = [(4_000, 100, 0)] * 4
+        rec, ran = self.run_scripted(monkeypatch, chunks, max_bits=100_000)
+        assert ran == [0, 1, 2]
+        assert (rec.bits, rec.errors) == (12_000, 300)
+
+    def test_short_of_the_target_stops_at_the_first_chunk_past_the_cap(self, monkeypatch):
+        chunks = [(4_000, e, 0) for e in (30, 30, 30, 9, 0, 50)]
+        rec, ran = self.run_scripted(monkeypatch, chunks, max_bits=18_000)
+        assert ran == [0, 1, 2, 3, 4]
+        assert (rec.bits, rec.errors) == (20_000, 99)
+
+    def test_redraws_are_summed(self, monkeypatch):
+        chunks = [(4_000, 0, r) for r in (2, 0, 5, 1, 3)]
+        rec, ran = self.run_scripted(monkeypatch, chunks)  # to max_bits = 20,000
+        assert ran == [0, 1, 2, 3, 4]
+        assert rec == BerRecord("qpsk", 0.0, 20_000, 0, 11)
 
 
 class TestChunkSeed:
@@ -270,8 +313,7 @@ class TestUncodedLink:
 
 class TestGains:
     def test_gain_of_reference_is_zero(self):
-        cfg = tiny_cfg(modulations=("qpsk", "64qam"), snr_grid_db=(-10.0, -5.0, 0.0),
-                       gain_at_snr_db=-5.0)
+        cfg = tiny_cfg(modulations=("qpsk", "64qam"), snr_grid_db=(-10.0, -5.0, 0.0))
         records = sweep(cfg)
         gains = compute_gains(records, cfg)
         ref = next(g for g in gains if g.modulation == "64qam")

@@ -11,6 +11,7 @@ from mclink.results import (
     BER_CSV_HEADER,
     BerRecord,
     EXTRAPOLATION_FLAG,
+    GAIN_CSV_HEADER,
     csv_text,
     gain_vs_reference,
 )
@@ -60,6 +61,21 @@ def test_missing_reference_point_raises():
         gain_vs_reference(table, target="a", reference="a", at_snr_db=2.5)
     with pytest.raises(ValueError):
         gain_vs_reference(table, target="a", reference="zzz", at_snr_db=0.0)
+
+
+def test_interpolated_gain_line_keeps_every_digit():
+    # counts of tests/data/golden_realzf/ber.csv: qpsk's BER at -3 dB lies
+    # between 16qam's two points, so the gain is interpolated in log10(ber)
+    records = [
+        BerRecord("qpsk", -3.0, 25_000, 923),
+        BerRecord("16qam", -3.0, 25_000, 5675),
+        BerRecord("16qam", 2.0, 25_000, 173),
+    ]
+    gain = gain_vs_reference(records, target="16qam", reference="qpsk", at_snr_db=-3.0)
+    assert csv_text(GAIN_CSV_HEADER, [gain]).splitlines() == [
+        "modulation,reference,at_snr_db,gain_db,flag",
+        "16qam,qpsk,-3.0,-2.6016026185167664,",
+    ]
 
 
 def test_ber_csv_header_and_roundtrip():
