@@ -12,7 +12,8 @@ draws its samples' exponential |z|^2, then their uniform phases, whose cos
 and sin run in float32 (within 1e-6 |z| of the float64 map).  Drawing
 consecutive runs of slot pairs therefore consumes a stream exactly as one
 draw over all of them, so a caller may run the link a tile of slot pairs at
-a time and get the same bytes for any tile.
+a time and get the same bytes for any tile.  Gains come in the dtype asked
+for and noise in the mix's; the engine's link runs in complex64.
 
 Gains and received samples have the shape (n_blocks, n_subcarriers, n_rx, 2):
 each block is y = H a + n, with the n_rx x 2 received slots beside the
@@ -39,23 +40,24 @@ class NoiseConfig:
         return 10.0 ** (-self.snr_db / 10.0)
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, shape, dtype=complex) -> np.ndarray:
     """CN(0, 1) samples in polar form: |z|^2 ~ Exp(1) and arg z ~ U[0, 2 pi).
 
     Each row along the first axis draws its |z|^2 = E and then its phases u,
     in C order, so draws of consecutive slices along the first axis
     concatenate to one draw of the whole.  The phase 2 pi u is rounded to
     float32, whose cos and sin cost a tenth of float64's: each sample lies
-    within 1e-6 |z| of sqrt(E) exp(2 pi i u) for its float64 draws E and u.
+    within 1e-6 |z| of sqrt(E) exp(2 pi i u) for its float64 draws E and u,
+    in ``dtype``; complex64 also rounds sqrt(E), from the same stream.
     """
-    out = np.empty(shape, dtype=complex)
+    out = np.empty(shape, dtype=dtype)
     energy = np.empty((len(out) if out.ndim else 1, math.prod(out.shape[1:])))
     u = np.empty_like(energy)
     for e_row, u_row in zip(energy, u):
         rng.standard_exponential(out=e_row)
         rng.random(out=u_row)
     phase = (u * (2 * np.pi)).astype(np.float32)
-    radius = np.sqrt(energy, out=energy)
+    radius = np.sqrt(energy, out=energy).astype(out.real.dtype, copy=False)
     z = out.reshape(radius.shape)
     np.multiply(radius, np.cos(phase), out=z.real)
     np.multiply(radius, np.sin(phase), out=z.imag)
@@ -63,11 +65,11 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def draw_channel(rng: np.random.Generator, n_subcarriers: int, n_blocks: int,
-                 n_rx: int = 4) -> np.ndarray:
-    """Independent fading per block and subcarrier: gains with shape
-    (n_blocks, n_subcarriers, n_rx, 2), where h[..., j, i] links transmit
-    antenna i to receive antenna j; a view of the draw layout."""
-    return complex_normal(rng, (n_blocks, n_rx, 2, n_subcarriers)).transpose(0, 3, 1, 2)
+                 n_rx: int = 4, dtype=complex) -> np.ndarray:
+    """Independent fading per block and subcarrier: gains of ``dtype`` with
+    shape (n_blocks, n_subcarriers, n_rx, 2), where h[..., j, i] links
+    transmit antenna i to receive antenna j; a view of the draw layout."""
+    return complex_normal(rng, (n_blocks, n_rx, 2, n_subcarriers), dtype).transpose(0, 3, 1, 2)
 
 
 def apply_channel(x: np.ndarray, h: np.ndarray, noise: NoiseConfig,
@@ -98,7 +100,7 @@ def apply_channel(x: np.ndarray, h: np.ndarray, noise: NoiseConfig,
     if noise.sigma2 > 0.0:
         # CN(0, sigma2) noise drawn pair-major, so calls on consecutive runs
         # of slot pairs draw what one call on all of them would
-        n = complex_normal(rng, y.shape)
+        n = complex_normal(rng, y.shape, dtype=y.dtype)
         n *= np.sqrt(noise.sigma2)
         y += n
     return y.transpose(0, 3, 1, 2)

@@ -22,7 +22,8 @@ pair, receive antenna, 2, subcarrier), in polar form one slot pair at a time
 (see ``channel``), so the link runs one tile of slot pairs at a time, from
 mapping to demapping, and its bytes do not depend on the tile size.  A chunk
 holds its bits, coded and hard-decided, and no complex array larger than one
-tile.
+tile, which runs in complex64 from the draws through ZF detection; the
+demapper, the realzf cross-check and the singular-block recheck stay in float64.
 """
 from __future__ import annotations
 
@@ -46,17 +47,21 @@ GRAM_FLOOR = 1e-12
 #: Bit errors that stop a point once it has ``min_bits``: the fixed error target.
 MAX_BIT_ERRORS = 100
 
+#: The link's complex dtype: float32 rounding sits orders of magnitude below
+#: the noise, and an Alamouti Gram matrix has condition number 1.
+LINK_DTYPE = np.complex64
+
 #: Alamouti blocks (subcarrier x slot pair) per tile of the link.  With 4
-#: receive antennas a tile's gains, stacked channel and ZF weights are
-#: 256-512 KiB each, so its working set stays near a 2 MiB per-core L2 cache;
-#: each of their ufuncs runs along the tile's blocks, a few hundred
-#: contiguous subcarriers per slot pair.  A tile holds whole slot pairs, at
-#: least one.
+#: receive antennas and 8-byte complex64 samples a tile's gains, stacked
+#: channel and ZF weights are 128-256 KiB each, so its working set stays
+#: within a 2 MiB per-core L2 cache; each of their ufuncs runs along the
+#: tile's blocks, a few hundred contiguous subcarriers per slot pair.  A tile
+#: holds whole slot pairs, at least one.
 TILE_BLOCKS = 2048
 
 # glibc gives the heap's free top back to the kernel above twice the largest
 # mmapped block freed so far (mallopt(3)).  A tile's arrays are at most
-# 0.5 MiB but add up to a few MiB, so each tile would fault its memory in
+# 0.25 MiB but add up to a few MiB, so each tile would fault its memory in
 # again: 16,000 minor faults, a fifth of a fast-qpsk chunk's time.  One freed
 # 8 MiB block keeps it mapped; other allocators see one allocation.
 np.empty(8 << 20, dtype=np.uint8)
@@ -89,7 +94,7 @@ def _redraw_weak_blocks(h: np.ndarray, rng: np.random.Generator) -> int:
         if n_bad == 0:
             return total
         total += n_bad
-        h[bad] = complex_normal(rng, (n_bad,) + h.shape[-2:])
+        h[bad] = complex_normal(rng, (n_bad,) + h.shape[-2:], dtype=h.dtype)
 
 
 def _detect_alamouti(cfg: SimConfig, c: modem.Constellation, groups: np.ndarray,
@@ -109,12 +114,12 @@ def _detect_alamouti(cfg: SimConfig, c: modem.Constellation, groups: np.ndarray,
     step = 2 * n_sc * max(1, TILE_BLOCKS // n_sc)
     for start in range(0, len(groups), step):
         tile = groups[start : start + step]
-        frames = np.zeros((-(-len(tile) // (2 * n_sc)) * 2, n_sc), dtype=complex)
+        frames = np.zeros((-(-len(tile) // (2 * n_sc)) * 2, n_sc), dtype=LINK_DTYPE)
         frames.reshape(-1)[: len(tile)] = modem.map_bits(tile.reshape(-1), c)
         x = stbc_encode(frames)
         x = ofdm_modulate(x, cfg.cp_len)
         x = ofdm_demodulate(x, cfg.cp_len)
-        h = draw_channel(gain_rng, n_sc, n_blocks=x.shape[1] // 2, n_rx=cfg.n_rx)
+        h = draw_channel(gain_rng, n_sc, n_blocks=x.shape[1] // 2, n_rx=cfg.n_rx, dtype=LINK_DTYPE)
         redraws += _redraw_weak_blocks(h, redraw_rng)
         y = apply_channel(x, h, NoiseConfig(es_n0_db), noise_rng)
         if cfg.detector == "realzf":

@@ -12,7 +12,8 @@ Two detectors solve the same per-subcarrier least-squares problem:
   row of H_hat is a signed permutation of the gains' parts, from a sign table.
 
 They must agree to numerical precision; keeping the constructions independent
-makes that agreement a meaningful cross-check.
+makes that agreement a meaningful cross-check.  The zf stages keep a complex64
+input's dtype; realzf and the singular-block recheck run in float64.
 """
 from __future__ import annotations
 
@@ -32,9 +33,10 @@ COND_CAP = 1e8
 # grows: cond(H) > C exactly when det / tr**2 < C**2 / (1 + C**2)**2.
 _DET_FLOOR = COND_CAP**2 / (1.0 + COND_CAP**2) ** 2
 
-#: Blocks with det <= this * tr**2 (cond(H) above about 1e6) recompute det
-#: exactly before the cap is tested.  An Alamouti block has det = tr**2 / 4.
-_DET_RECHECK = 1e-12
+#: Blocks with det <= this many eps of their dtype times tr**2 (cond(H) above
+#: about 1e6 in float64, 43 in float32) recompute det exactly before the cap
+#: is tested.  An Alamouti block has det = tr**2 / 4.
+_DET_RECHECK_EPS = 1e-12 / float(np.finfo(float).eps)
 
 
 def stbc_encode(frames: np.ndarray) -> np.ndarray:
@@ -49,7 +51,7 @@ def stbc_encode(frames: np.ndarray) -> np.ndarray:
         raise FramingError(f"{frames.shape[0]} slots do not form whole Alamouti pairs")
     a1 = frames[0::2]
     a2 = frames[1::2]
-    out = np.empty((2,) + frames.shape, dtype=complex)
+    out = np.empty((2,) + frames.shape, dtype=np.result_type(frames, np.complex64))
     out[0, 0::2] = a1
     np.conjugate(a2, out=out[0, 1::2])
     np.negative(out[0, 1::2], out=out[0, 1::2])
@@ -73,7 +75,7 @@ def alamouti_effective(h: np.ndarray) -> np.ndarray:
     n_rx = h.shape[-2]
     # a view of a (column, row, ...) buffer: each copy runs along the blocks
     h1, h2 = h.transpose((-1, -2) + tuple(range(h.ndim - 2)))
-    heff = np.empty((2, 2 * n_rx) + h.shape[:-2], dtype=complex)
+    heff = np.empty((2, 2 * n_rx) + h.shape[:-2], dtype=np.result_type(h, np.complex64))
     heff[0, 0::2] = h1
     heff[1, 0::2] = h2
     np.conjugate(h2, out=heff[0, 1::2])
@@ -89,7 +91,7 @@ def build_effective(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise ValueError("expected 2 transmit streams and 2 time slots")
     y = np.asarray(y)
     y1, y2 = y.transpose((-1, -2) + tuple(range(y.ndim - 2)))
-    y_eff = np.empty((2 * y.shape[-2],) + y.shape[:-2], dtype=complex)
+    y_eff = np.empty((2 * y.shape[-2],) + y.shape[:-2], dtype=np.result_type(y, np.complex64))
     y_eff[0::2] = y1
     np.conjugate(y2, out=y_eff[1::2])
     return alamouti_effective(h), y_eff.transpose(tuple(range(1, y_eff.ndim)) + (0,))
@@ -102,7 +104,7 @@ def zf_weights(h_eff: np.ndarray) -> np.ndarray:
     the Gram determinant and trace alone; the caller is expected to redraw
     such channels and account for them in diagnostics.
     """
-    h_eff = np.asarray(h_eff, dtype=complex)
+    h_eff = np.asarray(h_eff, dtype=np.result_type(np.asarray(h_eff), np.complex64))
     if h_eff.shape[-1] != 2:
         raise ValueError("weights are defined for 2 transmit streams")
     # the columns with the row axis first, (2*n_rx, ...): every ufunc below
@@ -116,24 +118,28 @@ def zf_weights(h_eff: np.ndarray) -> np.ndarray:
     tr2 = (g00 + g11) ** 2
     # det cancels to a few ulp of tr**2, as large as the cap's floor, so
     # near-singular blocks take det exactly by Lagrange's identity,
-    # sum_{i<j} |h0_i h1_j - h0_j h1_i|**2, each minor exact to an ulp of |h|**2
-    near = det <= _DET_RECHECK * tr2
+    # sum_{i<j} |h0_i h1_j - h0_j h1_i|**2, each minor exact to an ulp of |h|**2;
+    # only they can exceed the cap.  The recheck and the cap run in float64,
+    # where products of float32 parts are exact, so complex64 blocks get the
+    # decision of their complex128 upcast
+    near = det <= _DET_RECHECK_EPS * np.finfo(det.dtype).eps * tr2
     if near.any():
-        a, b = h0[:, near], h1[:, near]
+        a, b = h0[:, near].astype(complex), h1[:, near].astype(complex)
         minors = a[:, None] * b - a * b[:, None]
-        det[near] = (minors.real**2 + minors.imag**2).sum(axis=(0, 1)) / 2
-    # <= also refuses the all-zero block, where det = tr = 0
-    bad = det <= _DET_FLOOR * tr2
-    if bad.any():
-        n_bad = int(np.count_nonzero(bad))
-        raise SingularChannelError(
-            f"{n_bad} channel block(s) exceed condition cap {COND_CAP:g}"
-        )
+        exact = (minors.real**2 + minors.imag**2).sum(axis=(0, 1)) / 2
+        tr = (a.real**2 + a.imag**2 + b.real**2 + b.imag**2).sum(0)
+        # <= also refuses the all-zero block, where det = tr = 0
+        n_bad = int(np.count_nonzero(exact <= _DET_FLOOR * tr**2))
+        if n_bad:
+            raise SingularChannelError(
+                f"{n_bad} channel block(s) exceed condition cap {COND_CAP:g}"
+            )
+        det[near] = exact
     # (H^H H)^-1 = [[g11, -g01], [-g10, g00]] / det; row i of W is
     # conj(sum_k conj(inv[i, k]) h_k), and conj(inv[0, 1]) = inv[1, 0].
     # W is a view of a (row, column, ...) buffer.
     a01 = -g01 / det
-    w = np.empty((2,) + h0.shape, dtype=complex)
+    w = np.empty((2,) + h0.shape, dtype=h_eff.dtype)
     np.multiply(h0, g11 / det, out=w[0])
     np.multiply(h1, g00 / det, out=w[1])
     w[0] += h1 * np.conj(a01)

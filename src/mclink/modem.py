@@ -157,7 +157,8 @@ def demap_symbols(symbols: np.ndarray, c: Constellation) -> np.ndarray:
     Square schemes are sliced per axis: bit 0 of an n-bit Gray PAM axis is
     ``x < 0``, and bit k is ``x < 0`` after ``x <- |x| - 2**(n-k)``.  Every
     fold is exact on the grid, so this is the nearest level.  I fills the
-    first n bits of a symbol and Q the last n.
+    first n bits of a symbol and Q the last n.  Symbols of any complex dtype
+    are decided in float64.
     """
     n = c.pam_bits
     if not n:
@@ -187,7 +188,7 @@ def _demap_nearest(symbols: np.ndarray, c: Constellation) -> np.ndarray:
     1,024 for 32-QAM.
     """
     chunk = _DEMAP_CHUNK_VALUES // c.order
-    flat = np.asarray(symbols).reshape(-1) * c.scale
+    flat = np.asarray(symbols, dtype=complex).reshape(-1) * c.scale
     labels = np.empty(flat.size, dtype=np.intp)
     work_re = np.empty((min(chunk, flat.size), c.order))
     work_im = np.empty_like(work_re)

@@ -298,3 +298,32 @@ def test_complex_normal_rows_concatenate(rest):
     parts = [complex_normal(b_rng, (k,) + rest) for k in (3, 5)]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
     assert a_rng.standard_normal() == b_rng.standard_normal()  # same stream position
+
+
+@pytest.mark.parametrize("shape", [(), 5, (2, 3, 4, 2), (3, 20_000), (0,)])
+def test_complex64_draw_is_the_polar_draw(shape):
+    a_rng = np.random.default_rng(21)
+    b_rng = np.random.default_rng(21)
+    z = complex_normal(a_rng, shape, dtype=np.complex64)
+    ref = polar_reference(b_rng, shape)
+    assert z.dtype == np.complex64 and z.shape == ref.shape
+    assert np.all(np.abs(z - ref) <= 1e-6 * np.abs(ref))
+    assert a_rng.standard_normal() == b_rng.standard_normal()  # same stream position
+    # the default stays complex128
+    assert complex_normal(np.random.default_rng(21), shape).dtype == np.complex128
+
+
+@pytest.mark.parametrize("snr_db", [math.inf, 3.0])
+def test_gains_and_noise_come_in_the_link_dtype(snr_db):
+    def link(dtype):
+        rng = np.random.default_rng(25)
+        h = draw_channel(rng, 12, n_blocks=3, n_rx=4, dtype=dtype)
+        x = complex_normal(rng, (2, 6, 12), dtype=dtype)
+        return h, apply_channel(x, h, NoiseConfig(snr_db), rng)
+
+    h64, y64 = link(np.complex64)
+    h, y = link(complex)
+    assert h64.dtype == y64.dtype == np.complex64 and h.dtype == y.dtype == np.complex128
+    # the same draws, within float32 rounding of the mix and the noise
+    assert np.all(np.abs(h64 - h) <= 1e-6 * np.abs(h))
+    assert np.max(np.abs(y64 - y)) <= 1e-5

@@ -333,10 +333,11 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 #: configurations that the former run_table1.py and modulation_comparison.py
 #: scripts built by default.
 COMMITTED = {
-    "example.cfg": SimConfig(n_subcarriers=256, cp_len=64, workers=4),
+    "example.cfg": SimConfig(n_subcarriers=256, cp_len=64, workers=4,
+                             snr_grid_db=(-15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)),
     "table1.cfg": SimConfig(min_bits=100_000, max_bits=200_000, seed=412, workers=4),
     "comparison.cfg": SimConfig(
-        n_subcarriers=256, cp_len=64, snr_grid_db=(-10.0, -5.0, 0.0, 5.0),
+        n_subcarriers=256, cp_len=64, snr_grid_db=(-15.0, -10.0, -5.0, 0.0, 5.0),
         min_bits=100_000, max_bits=200_000, seed=411, workers=4,
     ),
 }
@@ -357,12 +358,16 @@ def test_example_config_sets_every_field():
 def test_comparison_recipe_runs(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(["sweep", "--config", str(CONFIGS / "comparison.cfg"),
-                 "--mod", "16qam,64qam", "--workers", "2", "--out", str(out)])
+                 "--mod", "qpsk,16qam,64qam", "--workers", "2", "--out", str(out)])
     assert code == 0
     gain_lines = [line for line in capsys.readouterr().out.splitlines()
                   if line.startswith("gain ")]
-    assert len(gain_lines) == 2
+    assert len(gain_lines) == 3
     assert all("vs 64qam @ -5.0 dB" in line for line in gain_lines)
+    # qpsk's BER crosses 64qam's -5 dB BER only below -10 dB: the grid
+    # reaches it, so its gain is read, not flagged for extrapolation
+    qpsk = next(line for line in gain_lines if line.startswith("gain   qpsk "))
+    assert math.isfinite(float(qpsk.split(": ")[1].split()[0])), qpsk
     for name in ("ber.csv", "gains.csv", "manifest.json"):
         assert (out / name).exists()
 

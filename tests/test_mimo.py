@@ -385,6 +385,67 @@ class TestBlockLayouts:
             zf_weights(h.transpose(2, 1, 0))
 
 
+class TestComplex64:
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_zf_stages_keep_the_dtype(self, dtype):
+        rng = np.random.default_rng(70)
+        h = complex_normal(rng, (5, 3, 4, 2), dtype=dtype)
+        y = complex_normal(rng, (5, 3, 4, 2), dtype=dtype)
+        assert stbc_encode(complex_normal(rng, (6, 16), dtype=dtype)).dtype == dtype
+        assert alamouti_effective(h).dtype == dtype
+        h_eff, y_eff = build_effective(h, y)
+        assert h_eff.dtype == y_eff.dtype == dtype
+        assert zf_weights(h_eff).dtype == dtype
+        assert zf_detect((h_eff, y_eff)).estimates.dtype == dtype
+        # the independent cross-check works in float64 whatever it is given
+        assert realzf_detect(h, y).estimates.dtype == np.complex128
+
+    def test_complex64_estimates_near_the_upcast(self):
+        rng = np.random.default_rng(71)
+        h, y, _ = random_blocks(rng, 2000, snr_db=0.0)
+        h64, y64 = h.astype(np.complex64), y.astype(np.complex64)
+        est = zf_detect(build_effective(h64, y64)).estimates
+        ref = zf_detect(build_effective(h64.astype(complex), y64.astype(complex))).estimates
+        assert np.all(np.abs(est - ref) <= 1e-5 * np.maximum(np.abs(ref), 1.0))
+
+    def test_rank_one_complex64_blocks_refused(self):
+        # the second column is 2j times the first, exactly in float32
+        rng = np.random.default_rng(72)
+        h = complex_normal(rng, (300, 8, 2), dtype=np.complex64)
+        rank_one = rng.random(300) < 0.5
+        h[rank_one, :, 1] = 2j * h[rank_one, :, 0]
+        with pytest.raises(SingularChannelError, match=f"^{rank_one.sum()} channel block"):
+            zf_weights(h)
+        with pytest.raises(SingularChannelError):
+            zf_weights(h[np.argmax(rank_one)])
+
+    def test_cap_decision_matches_the_complex128_upcast(self):
+        # 8x2 complex64 blocks [u, 2j u + s v] with u and v on disjoint rows,
+        # so rounding to float32 keeps cond(H) near 1 / s: from 1e1 to 1e11,
+        # across the float32 recheck bound near 43 and the 1e8 cap
+        rng = np.random.default_rng(73)
+        n = 400
+        h = np.zeros((n, 8, 2), dtype=np.complex64)
+        h[:, :4, 0] = complex_normal(rng, (n, 4))
+        h[:, :4, 1] = 2j * h[:, :4, 0]
+        h[:, 4:, 1] = 10.0 ** rng.uniform(-10.0, -1.0, (n, 1)) * complex_normal(rng, (n, 4))
+        cond = np.linalg.cond(h.astype(complex))
+        assert cond.min() < 1e2 and cond.max() > 1e9
+
+        def accepted(block):
+            try:
+                zf_weights(block)
+            except SingularChannelError:
+                return False
+            return True
+
+        decisions = [(accepted(b), accepted(b.astype(complex))) for b in h]
+        assert all(a == b for a, b in decisions)
+        ok = np.array([a for a, _ in decisions])
+        assert ok[cond < 0.9e8].all() and not ok[cond > 1.1e8].any()
+        assert 100 < ok.sum() < n - 100
+
+
 def real_decomposition_reference(h, y):
     """``real_decomposition`` by 16 strided block writes and 4 receive writes,
     its first construction."""

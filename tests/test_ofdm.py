@@ -103,3 +103,13 @@ def test_config_validation():
             ofdm_modulate(np.zeros((2, n_subcarriers)), cp_len)
         with pytest.raises(FramingError):
             ofdm_demodulate(np.zeros((2, n_subcarriers + cp_len)), cp_len)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_round_trip_keeps_the_dtype(dtype):
+    rng = np.random.default_rng(12)
+    frames = (rng.standard_normal((2, 4, 64)) + 1j * rng.standard_normal((2, 4, 64))).astype(dtype)
+    time_symbols = ofdm_modulate(frames, 16)
+    back = ofdm_demodulate(time_symbols, 16)
+    assert time_symbols.dtype == back.dtype == dtype
+    assert np.max(np.abs(back - frames)) <= 10 * np.finfo(dtype).eps * np.max(np.abs(frames))
