@@ -7,13 +7,14 @@ across antennas, slots and subcarriers with variance sigma2 per complex
 sample.
 
 Both draws are pair-major, as (n_blocks, n_rx, 2, n_subcarriers) with the 2
-the transmit antenna (gains) or the slot (noise), and polar: each slot pair
-draws its samples' exponential |z|^2, then their uniform phases, whose cos
-and sin run in float32 (within 1e-6 |z| of the float64 map).  Drawing
-consecutive runs of slot pairs therefore consumes a stream exactly as one
-draw over all of them, so a caller may run the link a tile of slot pairs at
-a time and get the same bytes for any tile.  Gains come in the dtype asked
-for and noise in the mix's; the engine's link runs in complex64.
+the transmit antenna (gains) or the slot (noise), and polar, one raw 64-bit
+word of the bit generator per sample in C order: its low half gives |z|^2 by
+the inverse transform and its high half the phase, whose cos and sin run in
+float32 (within 1e-6 |z| of the float64 map).  Drawing consecutive runs of
+slot pairs therefore consumes a stream exactly as one draw over all of them,
+so a caller may run the link a tile of slot pairs at a time and get the same
+bytes for any tile.  Gains come in the dtype asked for and noise in the
+mix's; the engine's link runs in complex64.
 
 Gains and received samples have the shape (n_blocks, n_subcarriers, n_rx, 2):
 each block is y = H a + n, with the n_rx x 2 received slots beside the
@@ -40,25 +41,28 @@ class NoiseConfig:
         return 10.0 ** (-self.snr_db / 10.0)
 
 
-def complex_normal(rng: np.random.Generator, shape, dtype=complex) -> np.ndarray:
-    """CN(0, 1) samples in polar form: |z|^2 ~ Exp(1) and arg z ~ U[0, 2 pi).
+def complex_normal(rng: np.random.Generator, shape, dtype=complex, scale=1.0) -> np.ndarray:
+    """CN(0, scale^2) samples in polar form, one raw word of ``rng`` each.
 
-    Each row along the first axis draws its |z|^2 = E and then its phases u,
-    in C order, so draws of consecutive slices along the first axis
-    concatenate to one draw of the whole.  The phase 2 pi u is rounded to
-    float32, whose cos and sin cost a tenth of float64's: each sample lies
-    within 1e-6 |z| of sqrt(E) exp(2 pi i u) for its float64 draws E and u,
-    in ``dtype``; complex64 also rounds sqrt(E), from the same stream.
+    The words are read in C order, so draws of consecutive slices along the
+    first axis concatenate to one draw of the whole.  A word's low 32 bits k
+    give u = (k + 1/2) 2^-32, exact in float64, and |z|^2 = -ln u, in
+    [1.16e-10, 22.87]; its high 32 bits j give the phase 2 pi j 2^-32,
+    rounded to float32, whose cos and sin cost a tenth of float64's.  Each
+    sample lies within 1e-6 |z| of scale sqrt(-ln u) exp(2 pi i j 2^-32) in
+    float64; the radius is taken in ``dtype``'s real dtype.
     """
     out = np.empty(shape, dtype=dtype)
-    energy = np.empty((len(out) if out.ndim else 1, math.prod(out.shape[1:])))
-    u = np.empty_like(energy)
-    for e_row, u_row in zip(energy, u):
-        rng.standard_exponential(out=e_row)
-        rng.random(out=u_row)
-    phase = (u * (2 * np.pi)).astype(np.float32)
-    radius = np.sqrt(energy, out=energy).astype(out.real.dtype, copy=False)
-    z = out.reshape(radius.shape)
+    words = rng.bit_generator.random_raw(out.size).astype("<u8", copy=False)
+    k, j = words.view("<u4").reshape(-1, 2).T  # little-endian: low half first
+    energy = np.add(k, 0.5)
+    np.log(energy, out=energy)
+    # scale^2 |z|^2 = scale^2 (32 ln 2 - ln(k + 1/2))
+    energy *= -scale * scale
+    energy += 32 * math.log(2) * scale * scale
+    radius = np.sqrt(energy.astype(out.real.dtype, copy=False))
+    phase = (j * (2 * np.pi / 2**32)).astype(np.float32)
+    z = out.reshape(-1)
     np.multiply(radius, np.cos(phase), out=z.real)
     np.multiply(radius, np.sin(phase), out=z.imag)
     return out
@@ -100,7 +104,5 @@ def apply_channel(x: np.ndarray, h: np.ndarray, noise: NoiseConfig,
     if noise.sigma2 > 0.0:
         # CN(0, sigma2) noise drawn pair-major, so calls on consecutive runs
         # of slot pairs draw what one call on all of them would
-        n = complex_normal(rng, y.shape, dtype=y.dtype)
-        n *= np.sqrt(noise.sigma2)
-        y += n
+        y += complex_normal(rng, y.shape, dtype=y.dtype, scale=math.sqrt(noise.sigma2))
     return y.transpose(0, 3, 1, 2)

@@ -15,12 +15,14 @@ bookkeeping exact.
 Work is split into fixed-size chunks of whole FEC frames.  Each chunk seeds
 its own SFC64 generator from (seed, modulation, SNR, chunk index), and the
 stop rule consumes chunks strictly in index order, which makes every output
-independent of worker count and scheduling.  A chunk's stream draws the
-source seed, then spawns three children: the fading gains, the noise and the
-weak-block redraws.  Gains and noise are drawn pair-major, both as (slot
-pair, receive antenna, 2, subcarrier), in polar form one slot pair at a time
-(see ``channel``), so the link runs one tile of slot pairs at a time, from
-mapping to demapping, and its bytes do not depend on the tile size.  A chunk
+independent of worker count and scheduling.  A chunk's stream gives one raw
+word for the source seed, then spawns three children: the fading gains, the
+noise and the weak-block redraws.  Gains and noise are drawn pair-major, both
+as (slot pair, receive antenna, 2, subcarrier), one raw word per sample in C
+order (see ``channel``), so the link runs one tile of slot pairs at a time,
+from mapping to demapping, and its bytes do not depend on the tile size.
+Its random numbers come from numpy only through ``SeedSequence``, ``spawn``
+and SFC64's raw words, which NEP 19 keeps stable across releases.  A chunk
 holds its bits, coded and hard-decided, and no complex array larger than one
 tile, which runs in complex64 from the draws through ZF detection; the
 demapper, the realzf cross-check and the singular-block recheck stay in float64.
@@ -40,8 +42,8 @@ from .mimo import build_effective, realzf_detect, stbc_encode, zf_detect
 from .ofdm import ofdm_demodulate, ofdm_modulate
 from .results import BerRecord, compute_gains, emit_results  # noqa: F401 - re-exported for tests
 
-#: Blocks whose total channel energy falls below this are redrawn; with
-#: continuous fading this never fires, it guards injected degenerate cases.
+#: Blocks whose total channel energy falls below this are redrawn.  A drawn
+#: gain's |z|^2 is at least 1.16e-10, so only injected blocks fall below it.
 GRAM_FLOOR = 1e-12
 
 #: Bit errors that stop a point once it has ``min_bits``: the fixed error target.
@@ -137,7 +139,8 @@ def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tu
     c = modem.get_constellation(modulation)
     rng = _chunk_rng(cfg.seed, c.name, snr_db, chunk)
 
-    source = Prbs(int(rng.integers(1, 1 << PRBS_DEGREE)))
+    # the source seed is one raw word mapped into [1, 2^23 - 1]
+    source = Prbs(1 + rng.bit_generator.random_raw() % ((1 << PRBS_DEGREE) - 1))
     payload = source.generate(cfg.chunk_payload_bits)
     payload = payload.reshape(cfg.frames_per_chunk, cfg.frame_payload_bits)
 

@@ -169,7 +169,7 @@ class TestPrbs:
             Prbs(0)
 
     def test_prbs23_register_holds_every_engine_seed(self):
-        # the engine seeds the source with rng.integers(1, 1 << 23)
+        # the engine seeds the source with 1 + (a raw word mod 2^23 - 1)
         for state in (1, (1 << 23) - 1):
             assert Prbs(state).state == state
         for state in (1 << 23, -1):

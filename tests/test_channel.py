@@ -8,16 +8,14 @@ from mclink.channel import NoiseConfig, apply_channel, complex_normal, draw_chan
 from mclink.engine import TILE_BLOCKS
 
 
-def polar_reference(rng, shape):
-    """CN(0, 1) from complex_normal's draws, mapped in float64: for each row
-    along the first axis, its |z|^2 ~ Exp(1) and then its phases u ~ U[0, 1),
-    and z = sqrt(|z|^2) exp(2 pi i u)."""
-    energy = np.empty(np.empty(shape).shape or (1,))
-    u = np.empty_like(energy)
-    for i in range(len(energy)):
-        rng.standard_exponential(out=energy[i : i + 1])
-        rng.random(out=u[i : i + 1])
-    return (np.sqrt(energy) * np.exp(2j * np.pi * u)).reshape(shape)
+def raw_word_reference(rng, shape):
+    """CN(0, 1) from the bit generator's raw words, mapped in float64: one
+    word w per sample in C order, u = (w mod 2^32 + 1/2) 2^-32 and
+    j = w >> 32, and z = sqrt(-ln u) exp(2 pi i j 2^-32)."""
+    w = rng.bit_generator.random_raw(np.empty(shape).size)
+    u = ((w & 0xFFFFFFFF) + 0.5) * 2.0**-32
+    j = (w >> 32).astype(np.float64)
+    return (np.sqrt(-np.log(u)) * np.exp(2j * np.pi * j * 2.0**-32)).reshape(shape)
 
 
 def assert_polar_close(z, ref):
@@ -36,7 +34,7 @@ def assert_mix_plus_noise(y, mix, noise):
 def pair_major(rng, n_blocks, n_rx, n_sc):
     """CN(0, 1) samples drawn as (n_blocks, n_rx, 2, n_sc), the layout of
     both the gains and the noise, and seen as (n_blocks, n_sc, n_rx, 2)."""
-    return polar_reference(rng, (n_blocks, n_rx, 2, n_sc)).transpose(0, 3, 1, 2)
+    return raw_word_reference(rng, (n_blocks, n_rx, 2, n_sc)).transpose(0, 3, 1, 2)
 
 
 def pair_major_noise(rng, n_blocks, n_rx, n_sc, sigma2):
@@ -187,9 +185,8 @@ def test_shape_mismatch_rejected():
         apply_channel(np.zeros((1, 4, 8), dtype=complex), h[..., :1], NoiseConfig(0.0), rng)
 
 
-# the formula is the polar draw, one row along the first axis at a time; the
-# test keeps its name from an earlier stream (all real parts, then all
-# imaginary parts)
+# the formula is the polar draw, one raw word per sample; the test keeps its
+# name from an earlier stream (all real parts, then all imaginary parts)
 @pytest.mark.parametrize("shape", [(), 5, (3,), (4, 0), (2, 3, 4, 2),
                                    (3, 20_000), (2, 1 << 15), (1 << 15) + 1,
                                    (0, 5), (0,)])
@@ -197,7 +194,7 @@ def test_complex_normal_equals_two_draw_formula(shape):
     a_rng = np.random.default_rng(21)
     b_rng = np.random.default_rng(21)
     a = complex_normal(a_rng, shape)
-    b = polar_reference(b_rng, shape)
+    b = raw_word_reference(b_rng, shape)
     assert_polar_close(a, b)
     assert a_rng.standard_normal() == b_rng.standard_normal()  # same stream position
 
@@ -305,7 +302,7 @@ def test_complex64_draw_is_the_polar_draw(shape):
     a_rng = np.random.default_rng(21)
     b_rng = np.random.default_rng(21)
     z = complex_normal(a_rng, shape, dtype=np.complex64)
-    ref = polar_reference(b_rng, shape)
+    ref = raw_word_reference(b_rng, shape)
     assert z.dtype == np.complex64 and z.shape == ref.shape
     assert np.all(np.abs(z - ref) <= 1e-6 * np.abs(ref))
     assert a_rng.standard_normal() == b_rng.standard_normal()  # same stream position
@@ -327,3 +324,37 @@ def test_gains_and_noise_come_in_the_link_dtype(snr_db):
     # the same draws, within float32 rounding of the mix and the noise
     assert np.all(np.abs(h64 - h) <= 1e-6 * np.abs(h))
     assert np.max(np.abs(y64 - y)) <= 1e-5
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 5), (2, 3, 4, 2)])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_draw_of_n_samples_takes_n_raw_words(shape, dtype):
+    a_rng = np.random.Generator(np.random.SFC64(41))
+    b_rng = np.random.Generator(np.random.SFC64(41))
+    z = complex_normal(a_rng, shape, dtype=dtype)
+    skipped = b_rng.bit_generator.random_raw(z.size + 3)
+    # the next word is the (n + 1)-th, not one either side of it
+    assert a_rng.bit_generator.random_raw() == skipped[z.size]
+
+
+def test_energy_lies_within_the_inverse_transform_range():
+    # u = (k + 1/2) 2^-32 with k in [0, 2^32), so -ln u lies in
+    # [-ln(1 - 2^-33), 33 ln 2]; float32 rounding of the radius moves |z|^2
+    # by at most a few float32 ulps
+    rng = np.random.Generator(np.random.SFC64(42))
+    for dtype, eps in ((np.complex128, 1e-15), (np.complex64, 1e-6)):
+        energy = np.abs(complex_normal(rng, 1 << 20, dtype=dtype)).astype(np.float64) ** 2
+        assert energy.min() >= -math.log1p(-(2.0**-33)) * (1 - eps)
+        assert energy.max() <= 33 * math.log(2) * (1 + eps)
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.3, 2.5])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_scale_multiplies_the_draw(scale, dtype):
+    a_rng = np.random.Generator(np.random.SFC64(43))
+    b_rng = np.random.Generator(np.random.SFC64(43))
+    z = complex_normal(a_rng, (3, 500), dtype=dtype, scale=scale)
+    ref = raw_word_reference(b_rng, (3, 500)) * scale
+    assert z.dtype == dtype
+    assert np.all(np.abs(z - ref) <= 1e-6 * np.abs(ref))
+    assert a_rng.bit_generator.random_raw() == b_rng.bit_generator.random_raw()

@@ -243,6 +243,31 @@ class TestChunkSeed:
         # the three child streams are SFC64 too
         assert all(type(child.bit_generator) is np.random.SFC64 for child in rng.spawn(3))
 
+    def test_chunk_draws_only_raw_words(self, monkeypatch):
+        # a chunk's random numbers may come from numpy only through
+        # SeedSequence, spawn and the bit generator's raw words: the chunk's
+        # generator, and the children it spawns, refuse every Generator
+        # distribution method the engine could reach for
+        from mclink import engine
+
+        class RawWordsOnly(np.random.Generator):
+            def refuse(self, *args, **kwargs):
+                raise AssertionError("a Generator distribution method was called")
+
+            integers = random = standard_exponential = standard_normal = refuse
+
+        real_rng = engine._chunk_rng
+        monkeypatch.setattr(engine, "_chunk_rng",
+                            lambda *key: RawWordsOnly(real_rng(*key).bit_generator))
+        strict = engine._chunk_rng(7, "qpsk", -5.0, 0)
+        assert all(type(child) is RawWordsOnly for child in strict.spawn(3))
+        with pytest.raises(AssertionError):
+            strict.random()
+        cfg = tiny_cfg()
+        strict_result = engine._run_chunk(cfg, "qpsk", -5.0, 0)
+        monkeypatch.undo()
+        assert strict_result == engine._run_chunk(cfg, "qpsk", -5.0, 0)
+
 
 class TestSweep:
     def test_cardinality_and_order(self):
@@ -268,16 +293,23 @@ class TestSweep:
         assert r[1].ber >= r[2].ber
 
 
+def chunk_source(rng):
+    """A chunk's message source, seeded from one raw word of the chunk's
+    stream mapped into [1, 2^23 - 1]."""
+    from mclink.bits import PRBS_DEGREE, Prbs
+
+    return Prbs(1 + rng.bit_generator.random_raw() % ((1 << PRBS_DEGREE) - 1))
+
+
 def uncoded_chunk(cfg, modulation, snr_db, chunk):
     """Chunk ``chunk``'s payload sent unspread and uncoded, straight through
     the link on the chunk's own stream, at Es/N0 = snr + 10*log10(bits per
     symbol); returns (bits, errors)."""
-    from mclink.bits import PRBS_DEGREE, Prbs
     from mclink.engine import _chunk_rng, _detect_alamouti
 
     c = modem.get_constellation(modulation)
     rng = _chunk_rng(cfg.seed, c.name, snr_db, chunk)
-    payload = Prbs(int(rng.integers(1, 1 << PRBS_DEGREE))).generate(cfg.chunk_payload_bits)
+    payload = chunk_source(rng).generate(cfg.chunk_payload_bits)
     groups = payload.reshape(-1, c.bits_per_symbol)
     es_n0_db = snr_db + 10.0 * math.log10(c.bits_per_symbol)
     hard, _ = _detect_alamouti(cfg, c, groups, es_n0_db, rng)
@@ -565,8 +597,8 @@ class TestTiledDetection:
         def run(inject):
             draws, gains = [], []
 
-            def record_normal(rng, shape, dtype=complex):
-                out = real_normal(rng, shape, dtype=dtype)
+            def record_normal(rng, shape, dtype=complex, scale=1.0):
+                out = real_normal(rng, shape, dtype=dtype, scale=scale)
                 draws.append(out.copy())
                 return out
 
@@ -612,12 +644,12 @@ class TestTiledDetection:
 def run_chunk_untiled(cfg, modulation, snr_db, chunk):
     """``_run_chunk`` from the public stages, with the whole chunk's link in
     one pass; returns (bits, errors, redraws) and the decoder's input."""
-    from mclink.bits import PRBS_DEGREE, Prbs, conv_encode, despread, spread, viterbi_decode
+    from mclink.bits import conv_encode, despread, spread, viterbi_decode
     from mclink.engine import _chunk_rng
 
     c = modem.get_constellation(modulation)
     rng = _chunk_rng(cfg.seed, c.name, snr_db, chunk)
-    payload = Prbs(int(rng.integers(1, 1 << PRBS_DEGREE))).generate(cfg.chunk_payload_bits)
+    payload = chunk_source(rng).generate(cfg.chunk_payload_bits)
     payload = payload.reshape(cfg.frames_per_chunk, cfg.frame_payload_bits)
     coded = conv_encode(spread(payload))
     coded_len = coded.shape[-1]

@@ -11,10 +11,11 @@ Two goldens live under tests/data:
 
 Both were written by the code that runs the link one tile of slot pairs at a
 time, on one SFC64 generator per chunk, with each chunk's gains, noise and
-weak-block redraws on three spawned child streams and the gains and noise
-drawn pair-major as (slot pair, receive antenna, 2, subcarrier), in polar
-form: per slot pair, every sample's exponential |z|^2, then its uniform
-phase.
+weak-block redraws on three spawned child streams, the source seeded from
+one raw word, and the gains and noise drawn pair-major as (slot pair,
+receive antenna, 2, subcarrier), in polar form from one raw word of the bit
+generator per sample: |z|^2 = -ln((k + 1/2) 2^-32) from its low 32 bits k
+and the phase 2 pi j 2^-32 from its high 32 bits j.
 
 A kernel change that moves one error count or one printed digit fails here.
 A change that alters RNG consumption on purpose regenerates both with
