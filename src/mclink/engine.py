@@ -14,7 +14,8 @@ bookkeeping exact.
 
 Work is split into fixed-size chunks of whole FEC frames.  Each chunk seeds
 its own SFC64 generator from (seed, modulation, SNR, chunk index), and the
-stop rule consumes chunks strictly in index order, which makes every output
+stop rule, which lives in ``_stop_rule`` alone, consumes chunks strictly in
+index order and pulls none past the stop, which makes every output
 independent of worker count and scheduling.  A chunk's stream gives one raw
 word for the source seed, then spawns three children: the fading gains, the
 noise and the weak-block redraws.  Gains and noise are drawn pair-major, both
@@ -29,6 +30,7 @@ demapper, the realzf cross-check and the singular-block recheck stay in float64.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -161,21 +163,24 @@ def _run_chunk(cfg: SimConfig, modulation: str, snr_db: float, chunk: int) -> tu
     return payload.size, errors, redraws
 
 
-def run_chain(cfg: SimConfig, modulation: str, snr_db: float) -> BerRecord:
-    """Accumulate chunks until min_bits is reached and either the error
-    target is met or the bit cap is hit.  Deterministic in (cfg, seed)."""
-    name = modem.get_constellation(modulation).name
+def _stop_rule(cfg: SimConfig, name: str, snr_db: float, chunks) -> BerRecord:
+    """The one stop rule: consume (bits, errors, redraws) in chunk order until
+    min_bits is reached and either the error target is met or the bit cap is
+    hit.  Pulls no item past the stop; a stream that ends first raises."""
     bits = errors = redraws = 0
-    chunk = 0
-    while True:
-        b, e, r = _run_chunk(cfg, name, snr_db, chunk)
+    for b, e, r in chunks:
         bits += b
         errors += e
         redraws += r
-        chunk += 1
         if bits >= cfg.min_bits and (errors >= MAX_BIT_ERRORS or bits >= cfg.max_bits):
-            break
-    return BerRecord(name, float(snr_db), bits, errors, redraws)
+            return BerRecord(name, float(snr_db), bits, errors, redraws)
+    raise RuntimeError(f"{name} at {snr_db} dB: the chunk stream ended before the point stopped")
+
+
+def run_chain(cfg: SimConfig, modulation: str, snr_db: float) -> BerRecord:
+    """One point, deterministic in (cfg, seed): its chunks fed lazily to the stop rule."""
+    name = modem.get_constellation(modulation).name
+    return _stop_rule(cfg, name, snr_db, (_run_chunk(cfg, name, snr_db, k) for k in itertools.count()))
 
 
 def sweep(cfg: SimConfig) -> list[BerRecord]:

@@ -178,7 +178,7 @@ def real_decomposition(h: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nda
     parts = np.ascontiguousarray(h, dtype=complex).view(float)
     y = np.ascontiguousarray(y, dtype=complex).view(float)
     n_rx = parts.shape[-2]
-    h_hat = (parts[..., _IDX] * _SIGN).reshape(parts.shape[:-2] + (4 * n_rx, 4))
+    h_hat = np.multiply(parts[..., _IDX], _SIGN, order="C").reshape(parts.shape[:-2] + (4 * n_rx, 4))
     return h_hat, y.reshape(y.shape[:-2] + (4 * n_rx,))
 
 

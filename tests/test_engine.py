@@ -1,14 +1,17 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mclink import BerRecord, SimConfig, fast_profile, load_config, run_chain, sweep
 from mclink.config import MAX_CHUNK_PAYLOAD_BITS, MAX_SUBCARRIERS, MAX_WORKERS
-from mclink.engine import compute_gains, effective_es_n0_db, emit_results
+from mclink.engine import _stop_rule, compute_gains, effective_es_n0_db, emit_results
 from mclink.errors import ConfigError
 from mclink import modem
 
@@ -174,50 +177,110 @@ class TestRunChain:
 
 
 class TestStopRule:
-    """``run_chain`` on scripted chunks: stop once min_bits is reached and
-    either ``MAX_BIT_ERRORS`` errors or max_bits."""
+    """``_stop_rule`` on scripted chunks: stop once min_bits is reached and
+    either ``MAX_BIT_ERRORS`` errors or max_bits, pulling no chunk past the
+    stop."""
 
-    def run_scripted(self, monkeypatch, chunks, **over):
-        """``run_chain`` with chunk i returning ``chunks[i]`` as (bits, errors,
-        redraws); returns its record and the chunk indices it ran."""
-        from mclink import engine
-
+    def run_scripted(self, chunks, **over):
+        """``_stop_rule`` fed ``chunks[i]`` as chunk i's (bits, errors,
+        redraws); returns its record and the chunk indices it pulled."""
         ran = []
 
-        def scripted(cfg, modulation, snr_db, chunk):
-            ran.append(chunk)
-            return chunks[chunk]
+        def scripted():
+            for chunk, counts in enumerate(chunks):
+                ran.append(chunk)
+                yield counts
 
-        monkeypatch.setattr(engine, "_run_chunk", scripted)
-        return run_chain(tiny_cfg(**over), "QPSK", 0.0), ran
+        return _stop_rule(tiny_cfg(**over), "qpsk", 0.0, scripted()), ran
 
-    def test_error_target_after_min_bits_stops_below_the_cap(self, monkeypatch):
+    def test_error_target_after_min_bits_stops_below_the_cap(self):
         from mclink.engine import MAX_BIT_ERRORS
 
         assert MAX_BIT_ERRORS == 100
         # 99 errors after four chunks, 100 after the fifth; a sixth is never run
         chunks = [(4_000, e, 0) for e in (30, 30, 30, 9, 1, 50)]
-        rec, ran = self.run_scripted(monkeypatch, chunks, max_bits=100_000)
+        rec, ran = self.run_scripted(chunks, max_bits=100_000)
         assert ran == [0, 1, 2, 3, 4]
         assert rec == BerRecord("qpsk", 0.0, 20_000, 100, 0)
 
-    def test_error_target_before_min_bits_runs_to_min_bits(self, monkeypatch):
+    def test_error_target_before_min_bits_runs_to_min_bits(self):
         chunks = [(4_000, 100, 0)] * 4
-        rec, ran = self.run_scripted(monkeypatch, chunks, max_bits=100_000)
+        rec, ran = self.run_scripted(chunks, max_bits=100_000)
         assert ran == [0, 1, 2]
         assert (rec.bits, rec.errors) == (12_000, 300)
 
-    def test_short_of_the_target_stops_at_the_first_chunk_past_the_cap(self, monkeypatch):
+    def test_short_of_the_target_stops_at_the_first_chunk_past_the_cap(self):
         chunks = [(4_000, e, 0) for e in (30, 30, 30, 9, 0, 50)]
-        rec, ran = self.run_scripted(monkeypatch, chunks, max_bits=18_000)
+        rec, ran = self.run_scripted(chunks, max_bits=18_000)
         assert ran == [0, 1, 2, 3, 4]
         assert (rec.bits, rec.errors) == (20_000, 99)
 
-    def test_redraws_are_summed(self, monkeypatch):
+    def test_redraws_are_summed(self):
         chunks = [(4_000, 0, r) for r in (2, 0, 5, 1, 3)]
-        rec, ran = self.run_scripted(monkeypatch, chunks)  # to max_bits = 20,000
+        rec, ran = self.run_scripted(chunks)  # to max_bits = 20,000
         assert ran == [0, 1, 2, 3, 4]
         assert rec == BerRecord("qpsk", 0.0, 20_000, 0, 11)
+
+    def test_run_chain_feeds_its_chunks_in_index_order(self, monkeypatch):
+        # the wiring: run_chain computes chunk k only when the rule pulls it,
+        # on the constellation's name, and stops computing at the stop
+        from mclink import engine
+
+        ran = []
+
+        def scripted(cfg, modulation, snr_db, chunk):
+            ran.append((modulation, snr_db, chunk))
+            return (4_000, 0, chunk)
+
+        monkeypatch.setattr(engine, "_run_chunk", scripted)
+        rec = run_chain(tiny_cfg(), "QPSK", 0.0)  # to max_bits = 20,000
+        assert ran == [("qpsk", 0.0, k) for k in range(5)]
+        assert rec == BerRecord("qpsk", 0.0, 20_000, 0, 10)
+
+
+def readme_stop_rule(min_bits, max_bits, chunks):
+    """The README's rule, transcribed: "a point stops at 100 bit errors once
+    it has min_bits, or at max_bits"; returns the stop index and the sums
+    (bits, errors, redraws) through it, or None if the script never stops."""
+    for stop in range(len(chunks)):
+        bits, errors, redraws = (sum(column) for column in zip(*chunks[: stop + 1]))
+        if (errors >= 100 and bits >= min_bits) or bits >= max_bits:
+            return stop, (bits, errors, redraws)
+    return None
+
+
+@st.composite
+def stop_rule_cases(draw):
+    min_bits = draw(st.integers(10_000, 40_000))  # SimConfig's floor is 10,000
+    max_bits = draw(st.integers(min_bits, 80_000))
+    chunks = draw(st.lists(st.tuples(st.integers(1, 10_000), st.integers(0, 60),
+                                     st.integers(0, 5)), max_size=30))
+    return min_bits, max_bits, chunks
+
+
+class TestStopRuleProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(stop_rule_cases())
+    @example((10_000, 20_000, [(4_000, 0, 0)] * 4))  # ends 4,000 bits short of the cap
+    def test_stop_rule_matches_the_readme(self, case):
+        min_bits, max_bits, chunks = case
+        cfg = tiny_cfg(min_bits=min_bits, max_bits=max_bits)
+        pulled = []
+
+        def stream():
+            for counts in chunks:
+                pulled.append(counts)
+                yield counts
+
+        expected = readme_stop_rule(min_bits, max_bits, chunks)
+        if expected is None:
+            with pytest.raises(RuntimeError, match="ended before the point stopped"):
+                _stop_rule(cfg, "qpsk", -5.0, stream())
+            assert len(pulled) == len(chunks)
+            return
+        stop, sums = expected
+        assert _stop_rule(cfg, "qpsk", -5.0, stream()) == BerRecord("qpsk", -5.0, *sums)
+        assert len(pulled) == stop + 1
 
 
 class TestChunkSeed:
@@ -304,7 +367,7 @@ def chunk_source(rng):
 def uncoded_chunk(cfg, modulation, snr_db, chunk):
     """Chunk ``chunk``'s payload sent unspread and uncoded, straight through
     the link on the chunk's own stream, at Es/N0 = snr + 10*log10(bits per
-    symbol); returns (bits, errors)."""
+    symbol); returns (bits, errors, redraws)."""
     from mclink.engine import _chunk_rng, _detect_alamouti
 
     c = modem.get_constellation(modulation)
@@ -312,16 +375,15 @@ def uncoded_chunk(cfg, modulation, snr_db, chunk):
     payload = chunk_source(rng).generate(cfg.chunk_payload_bits)
     groups = payload.reshape(-1, c.bits_per_symbol)
     es_n0_db = snr_db + 10.0 * math.log10(c.bits_per_symbol)
-    hard, _ = _detect_alamouti(cfg, c, groups, es_n0_db, rng)
-    return payload.size, int(np.count_nonzero(hard != groups))
+    hard, redraws = _detect_alamouti(cfg, c, groups, es_n0_db, rng)
+    return payload.size, int(np.count_nonzero(hard != groups)), redraws
 
 
 def uncoded_record(cfg, modulation, snr_db):
-    """The uncoded link's record over the chunks of a fixed-work point
-    (``min_bits == max_bits``)."""
-    counts = [uncoded_chunk(cfg, modulation, snr_db, chunk)
-              for chunk in range(-(-cfg.max_bits // cfg.chunk_payload_bits))]
-    return BerRecord(modulation, snr_db, *map(sum, zip(*counts)))
+    """The uncoded link's record: its chunks, lazily in index order, through
+    the engine's stop rule."""
+    chunks = (uncoded_chunk(cfg, modulation, snr_db, k) for k in itertools.count())
+    return _stop_rule(cfg, modulation, snr_db, chunks)
 
 
 class TestUncodedLink:
@@ -724,7 +786,7 @@ class TestAnalyticOracle:
         grid_db = snr_db - 10.0 * math.log10(2.0) if split else snr_db
         rates = []
         for chunk in range(20):
-            bits, errors = uncoded_chunk(cfg, "qpsk", grid_db, chunk)
+            bits, errors, _ = uncoded_chunk(cfg, "qpsk", grid_db, chunk)
             rates.append(errors / bits)
         expected = mrc_rayleigh_ber(grid_db, 2 * n_rx)
         # batch means: the spread of the 20 chunk BERs, which counts errors

@@ -487,12 +487,11 @@ class TestRealDecompositionBytes:
                 zeros = ref_h[ref_h == 0]
                 assert np.signbit(zeros).any() and not np.signbit(zeros).all(), name
             # matmul hands BLAS-compatible strides to BLAS and sums other
-            # layouts in its own loop, in another order, so the reference
-            # system takes the code's memory layout before its normal
-            # equations are formed as the code forms them
-            laid_out = np.empty_like(h_hat)
-            laid_out[...] = ref_h
-            ref_t = laid_out.swapaxes(-1, -2)
-            u = np.linalg.solve(ref_t @ laid_out, ref_t @ ref_y[..., None])[..., 0]
+            # layouts in its own loop, in another order, so the system is
+            # built C-ordered for every n_rx and the reference forms its
+            # normal equations from it as the code does
+            assert h_hat.flags.c_contiguous, name
+            ref_t = ref_h.swapaxes(-1, -2)
+            u = np.linalg.solve(ref_t @ ref_h, ref_t @ ref_y[..., None])[..., 0]
             est = realzf_detect(h, y).estimates
             assert est.tobytes() == (u[..., 0:2] + 1j * u[..., 2:4]).tobytes(), name
