@@ -1,13 +1,13 @@
 """Simulation configuration: a self-checking dataclass and its text reader.
 
 The dataclass defaults are the full-size system (6400 subcarriers,
-1280-sample prefix, -10..20 dB sweep, Alamouti 2x4).  ``fast_profile``
-shrinks only the multicarrier frame so smoke tests and statistical checks run
-at desk scale with identical math.  The bit stages (PRBS-23 source, 8-chip
-spreading, K=3 (7,5) code) are fixed constants of ``bits`` and not fields:
-every run spreads and codes.  The measurement protocol is fixed too: a point
-stops on ``engine.MAX_BIT_ERRORS`` errors, and ``results.GAIN_REFERENCE`` at
-``results.GAIN_AT_SNR_DB`` is the reference of every gain.
+1280-sample prefix, -10..20 dB sweep).  ``fast_profile`` shrinks only the
+multicarrier frame so smoke tests and statistical checks run at desk scale
+with identical math.  The 2x4 antennas (``engine.N_RX``) and the bit stages
+(PRBS-23 source, 8-chip spreading, K=3 (7,5) code of ``bits``) are constants,
+not fields: every run spreads and codes.  The measurement is fixed too: a
+point stops on ``engine.MAX_BIT_ERRORS`` errors, and ``results.GAIN_REFERENCE``
+at ``results.GAIN_AT_SNR_DB`` is the reference of every gain.
 
 A ``SimConfig`` checks itself when built (constructor, ``dataclasses.replace``
 or ``load_config``) and raises ``ConfigError``.  Config file values and CLI
@@ -32,9 +32,9 @@ MAX_SUBCARRIERS = 65_536
 MAX_CHUNK_PAYLOAD_BITS = 250_000
 
 #: Most sweep threads a ``SimConfig`` accepts.  The sweep pool starts one thread
-#: per busy grid point, up to ``workers``, and a sweep can have thousands of
-#: points.  This bounds threads, not memory: each in-flight chunk holds its
-#: own arrays, 17 MiB above the imports for a QPSK chunk at the default size.
+#: per busy grid point, up to ``workers`` and the usable CPUs; a sweep can have
+#: thousands of points.  This bounds threads, not memory: each in-flight chunk
+#: holds its arrays, 17 MiB above the imports for a default-size QPSK chunk.
 MAX_WORKERS = 64
 
 #: Largest finite |SNR| in dB a grid accepts.  The noise variance
@@ -69,8 +69,6 @@ class SimConfig:
     min_bits: int = 100_000
     max_bits: int = 1_000_000
     workers: int = 1
-    # receive antennas (n_rx = 1 is the Alamouti 2x1 reference)
-    n_rx: int = 4
     # Monte Carlo batching: payload bits per FEC frame and frames per chunk;
     # results are deterministic in (config, seed) including these two.
     frame_payload_bits: int = 200
@@ -100,8 +98,6 @@ class SimConfig:
             raise ConfigError(f"unknown detector {self.detector!r}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if not 1 <= self.n_rx <= 4:
-            raise ConfigError("n_rx must be between 1 and 4")
         if self.min_bits < 10_000:
             raise ConfigError("min_bits must be at least 10000")
         if self.max_bits < self.min_bits:

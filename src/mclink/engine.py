@@ -7,10 +7,10 @@ IDFT + cyclic prefix per antenna.  The receiver mirrors it: prefix strip +
 DFT, per-subcarrier linear detection, demapping, Viterbi decoding,
 majority-vote despreading, payload comparison.
 
-Fading is flat per subcarrier and quasi-static over each Alamouti pair, so
-the channel acts on the frequency-domain symbols directly; the multicarrier
-transform round-trips every sample to keep the chain faithful and the energy
-bookkeeping exact.
+Fading is flat per subcarrier and quasi-static over each Alamouti pair at the
+``N_RX`` = 4 receive antennas, so the channel acts on the frequency-domain
+symbols directly; the multicarrier transform round-trips every sample to keep
+the chain faithful and the energy bookkeeping exact.
 
 Work is split into fixed-size chunks of whole FEC frames.  Each chunk seeds
 its own SFC64 generator from (seed, modulation, SNR, chunk index), and the
@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -55,6 +57,9 @@ MAX_BIT_ERRORS = 100
 #: the noise, and an Alamouti Gram matrix has condition number 1.
 LINK_DTYPE = np.complex64
 
+#: Receive antennas: the paper's 2x4 link.  Tests set 1 and 2 to compare.
+N_RX = 4
+
 #: Alamouti blocks (subcarrier x slot pair) per tile of the link.  With 4
 #: receive antennas and 8-byte complex64 samples a tile's gains, stacked
 #: channel and ZF weights are 128-256 KiB each, so its working set stays
@@ -62,6 +67,8 @@ LINK_DTYPE = np.complex64
 #: tile's blocks, a few hundred contiguous subcarriers per slot pair.  A tile
 #: holds whole slot pairs, at least one.
 TILE_BLOCKS = 2048
+
+_sweep = threading.local()  # a sweep thread's ``stop`` event: once set, its chunk streams end
 
 # glibc gives the heap's free top back to the kernel above twice the largest
 # mmapped block freed so far (mallopt(3)).  A tile's arrays are at most
@@ -91,7 +98,7 @@ def _redraw_weak_blocks(h: np.ndarray, rng: np.random.Generator) -> int:
     the redraw count."""
     total = 0
     while True:
-        # per-block channel energy, the sum of |h|^2 over its n_rx x 2 gains
+        # per-block channel energy, the sum of |h|^2 over its N_RX x 2 gains
         energy = (np.square(h.real) + np.square(h.imag)).sum(axis=(-2, -1))
         bad = ~(energy > GRAM_FLOOR)
         n_bad = int(np.count_nonzero(bad))
@@ -123,7 +130,7 @@ def _detect_alamouti(cfg: SimConfig, c: modem.Constellation, groups: np.ndarray,
         x = stbc_encode(frames)
         x = ofdm_modulate(x, cfg.cp_len)
         x = ofdm_demodulate(x, cfg.cp_len)
-        h = draw_channel(gain_rng, n_sc, n_blocks=x.shape[1] // 2, n_rx=cfg.n_rx, dtype=LINK_DTYPE)
+        h = draw_channel(gain_rng, n_sc, n_blocks=x.shape[1] // 2, n_rx=N_RX, dtype=LINK_DTYPE)
         redraws += _redraw_weak_blocks(h, redraw_rng)
         y = apply_channel(x, h, NoiseConfig(es_n0_db), noise_rng)
         if cfg.detector == "realzf":
@@ -180,11 +187,19 @@ def _stop_rule(cfg: SimConfig, name: str, snr_db: float, chunks) -> BerRecord:
 def run_chain(cfg: SimConfig, modulation: str, snr_db: float) -> BerRecord:
     """One point, deterministic in (cfg, seed): its chunks fed lazily to the stop rule."""
     name = modem.get_constellation(modulation).name
-    return _stop_rule(cfg, name, snr_db, (_run_chunk(cfg, name, snr_db, k) for k in itertools.count()))
+    stop = getattr(_sweep, "stop", threading.Event())
+    ks = itertools.takewhile(lambda _: not stop.is_set(), itertools.count())
+    return _stop_rule(cfg, name, snr_db, (_run_chunk(cfg, name, snr_db, k) for k in ks))
 
 
 def sweep(cfg: SimConfig) -> list[BerRecord]:
-    """Every modulation at every grid SNR, in deterministic row order."""
+    """Every modulation at every grid SNR, in row order, on min(workers, usable CPUs) threads."""
     points = [(mod, snr) for mod in cfg.modulations for snr in cfg.snr_grid_db]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(lambda p: run_chain(cfg, p[0], p[1]), points))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    stop = threading.Event()
+    with ThreadPoolExecutor(min(cfg.workers, cpus), initializer=setattr,
+                            initargs=(_sweep, "stop", stop)) as pool:
+        try:
+            return list(pool.map(lambda p: run_chain(cfg, p[0], p[1]), points))
+        finally:  # map cancels the queued points; the running ones end before their next chunk
+            stop.set()

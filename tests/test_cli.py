@@ -64,7 +64,7 @@ def test_config_file_errors(tmp_path):
                  "split_tx_power = true", "cond_cap = 1e8", "tx_mode = siso",
                  "snr_reference = es", "spreading_chips = 1,0,1,1,0,0,1,0",
                  "conv_constraint_length = 3", "conv_generators = 7,5",
-                 "message_taps = 40000041"):
+                 "message_taps = 40000041", "n_rx = 4"):
         bad.write_text(line + "\n")
         with pytest.raises(ConfigError, match=f"unknown key '{line.split()[0]}'"):
             load_config(bad)
@@ -76,12 +76,24 @@ def test_config_file_errors(tmp_path):
         load_config(bad)
 
 
+def test_antenna_count_is_an_unknown_key(tmp_path, capsys):
+    # the link is the paper's 2x4 (engine.N_RX), not a config field
+    cfg_path = tmp_path / "sim.cfg"
+    write_tiny_config(cfg_path)
+    with open(cfg_path, "a") as f:
+        f.write("n_rx = 4\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {cfg_path}:11: unknown key 'n_rx'\n"
+    assert not out.exists()
+
+
 def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
     # editors that save "UTF-8 with BOM" put U+FEFF before the first key
     path = tmp_path / "bom.cfg"
-    path.write_bytes("\ufeffseed = 3\nn_rx = 2\n".encode("utf-8"))
+    path.write_bytes("\ufeffseed = 3\nworkers = 2\n".encode("utf-8"))
     assert path.read_bytes().startswith(b"\xef\xbb\xbf")
-    assert load_config(path) == SimConfig(seed=3, n_rx=2)
+    assert load_config(path) == SimConfig(seed=3, workers=2)
 
 
 def test_every_default_written_as_text_loads_back(tmp_path):
@@ -309,6 +321,48 @@ def test_interrupt_exits_130_without_traceback(tmp_path, capsys, monkeypatch):
     write_tiny_config(cfg_path)
     assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 130
     assert capsys.readouterr().err == "interrupted\n"
+
+
+def test_sigint_stops_a_threaded_sweep_within_a_chunk(tmp_path):
+    # one child process on two sweep threads, with four points of about 15 s
+    # each: Ctrl-C a second in cancels the two queued points and ends the two
+    # running ones before their next chunk (about 0.1 s), not at their last
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    cfg_path = tmp_path / "sim.cfg"
+    cfg_path.write_text("modulations = qpsk\nsnr_grid_db = -5:1:-2\nn_subcarriers = 256\n"
+                        "cp_len = 64\nmin_bits = 5000000\nmax_bits = 5000000\nworkers = 2\n")
+    out = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mclink", "sweep", "--config", str(cfg_path), "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    try:
+        # --out is made after the imports, just before the sweep starts
+        deadline = time.monotonic() + 30
+        while not out.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert out.exists() and proc.poll() is None
+        time.sleep(1.0)
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        stdout, stderr = proc.communicate(timeout=30)
+        elapsed = time.monotonic() - sent
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert elapsed < 2.0
+    assert (stdout, stderr) == ("", "interrupted\n")
+    assert list(out.iterdir()) == []
 
 
 def test_cli_runtime_error_without_message_is_named(tmp_path, capsys, monkeypatch):

@@ -127,7 +127,6 @@ def config_fields(draw):
         max_bits=draw(mostly(st.integers(min_bits, 10_000_000), st.integers(-1, min_bits))),
         workers=draw(mostly(st.integers(1, MAX_WORKERS),
                             st.sampled_from([-1, 0, MAX_WORKERS + 1]))),
-        n_rx=draw(mostly(st.integers(1, 4), st.sampled_from([-1, 0, 5]))),
         frame_payload_bits=draw(mostly(st.integers(1, 300), st.sampled_from([-1, 0, 250_001]))),
         frames_per_chunk=draw(mostly(st.integers(1, 8), st.integers(-1, 0))),
     )
@@ -145,7 +144,7 @@ def config_text(cfg):
 @settings(deadline=None, max_examples=200)
 @example(fields=dict(modulations=["qpsk"], snr_grid_db=[-4000.0], n_subcarriers=8, cp_len=2,
                      detector="zf", seed=1, min_bits=10_000, max_bits=10_000,
-                     workers=1, n_rx=4, frame_payload_bits=10, frames_per_chunk=1))
+                     workers=1, frame_payload_bits=10, frames_per_chunk=1))
 @given(fields=config_fields())
 def test_every_config_that_builds_runs_a_chunk(tmp_path_factory, fields):
     assert set(fields) == {f.name for f in dataclasses.fields(SimConfig)}

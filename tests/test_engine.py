@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mclink import BerRecord, SimConfig, fast_profile, load_config, run_chain, sweep
+from mclink import BerRecord, SimConfig, engine, fast_profile, load_config, run_chain, sweep
 from mclink.config import MAX_CHUNK_PAYLOAD_BITS, MAX_SUBCARRIERS, MAX_WORKERS
 from mclink.engine import _stop_rule, compute_gains, effective_es_n0_db, emit_results
 from mclink.errors import ConfigError
@@ -34,7 +34,14 @@ class TestConfig:
         assert cfg.cp_len == 1280
         assert cfg.snr_grid_db == (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
         assert cfg.modulations == ("qpsk", "8psk", "8qam", "16qam", "32qam", "64qam")
-        assert cfg.n_rx == 4
+        assert engine.N_RX == 4
+
+    def test_antenna_count_is_no_field(self):
+        # the paper's 2x4 link is fixed: engine.N_RX, not a SimConfig field
+        assert len(dataclasses.fields(SimConfig)) == 11
+        assert "n_rx" not in {f.name for f in dataclasses.fields(SimConfig)}
+        with pytest.raises(TypeError):
+            SimConfig(n_rx=4)
 
     def test_fast_profile_changes_frame_only(self):
         cfg = fast_profile()
@@ -52,7 +59,6 @@ class TestConfig:
             dict(detector="mmse"),
             dict(min_bits=100),
             dict(max_bits=5_000, min_bits=10_000),
-            dict(n_rx=5),
             dict(workers=0),
             dict(workers=MAX_WORKERS + 1),
             dict(seed=-1),
@@ -76,7 +82,6 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         dict(n_subcarriers=6400.0),
         dict(workers=2.5),
-        dict(n_rx=True),
         dict(seed="1"),
         dict(snr_grid_db=(-5.0, True)),
         dict(snr_grid_db=-5.0),
@@ -348,6 +353,61 @@ class TestSweep:
         par = sweep(dataclasses.replace(base, workers=4))
         assert seq == par
 
+    def test_one_usable_cpu_runs_one_thread(self, monkeypatch, tmp_path):
+        import os
+        import threading
+
+        def write(cfg, name):
+            records = sweep(cfg)
+            return emit_results(records, compute_gains(records, cfg), cfg, tmp_path / name, 0.0)
+
+        base = tiny_cfg(modulations=("qpsk", "64qam"), snr_grid_db=(-5.0, 0.0))
+        serial = write(base, "serial")
+        threads = set()
+        real_run_chain = engine.run_chain
+
+        def record(cfg, modulation, snr_db):
+            threads.add(threading.get_ident())
+            return real_run_chain(cfg, modulation, snr_db)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(engine, "run_chain", record)
+        paths = write(dataclasses.replace(base, workers=4), "one_cpu")
+        assert len(threads) == 1
+        for name in ("ber", "gains"):
+            assert paths[name].read_bytes() == serial[name].read_bytes()
+
+    def test_failed_sweep_stops_its_running_point_before_the_next_chunk(self, monkeypatch):
+        # the first point fails while the second runs a chunk: the running
+        # point ends before its next chunk, with no record, and the queued
+        # third is cancelled, or if the failed point's thread took it first,
+        # ends before its second chunk
+        import os
+        import threading
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        real_run_chunk = engine._run_chunk
+        running = threading.Event()
+        chunks, stopped = [], []
+
+        def run_chunk(cfg, modulation, snr_db, chunk):
+            if modulation == "64qam":
+                assert running.wait(10)
+                raise MemoryError
+            chunks.append((modulation, chunk))
+            running.set()
+            # the sweep thread's stop, set once the failure is out of the pool
+            stopped.append(engine._sweep.stop.wait(10))
+            return real_run_chunk(cfg, modulation, snr_db, chunk)
+
+        monkeypatch.setattr(engine, "_run_chunk", run_chunk)
+        cfg = tiny_cfg(modulations=("64qam", "qpsk", "8psk"), snr_grid_db=(-5.0,),
+                       min_bits=1_000_000, max_bits=1_000_000, workers=2)
+        with pytest.raises(MemoryError):
+            sweep(cfg)
+        assert chunks in ([("qpsk", 0)], [("qpsk", 0), ("8psk", 0)])
+        assert all(stopped)
+
     def test_ber_decreases_with_snr(self):
         cfg = tiny_cfg(modulations=("qpsk",), min_bits=20_000, max_bits=20_000,
                        snr_grid_db=(-10.0, -5.0, 0.0))
@@ -393,10 +453,11 @@ class TestUncodedLink:
         slack = 2 * (full.ci95 + bare.ci95)
         assert full.ber <= bare.ber + slack
 
-    def test_diversity_order_two_by_four_vs_two_by_one(self):
+    def test_diversity_order_two_by_four_vs_two_by_one(self, monkeypatch):
         # uncoded slope between 0 and 10 dB is steeper with 4 receive antennas
         def slope(n_rx):
-            cfg = tiny_cfg(min_bits=200_000, max_bits=200_000, n_rx=n_rx)
+            monkeypatch.setattr(engine, "N_RX", n_rx)
+            cfg = tiny_cfg(min_bits=200_000, max_bits=200_000)
             lo = uncoded_record(cfg, "qpsk", 0.0)
             hi = uncoded_record(cfg, "qpsk", 10.0)
             floor = 0.5 / hi.bits
@@ -526,9 +587,9 @@ def detect_alamouti_untiled(cfg, c, groups, snr_db, rng, dtype=None):
     """The whole-stream link from its public stages: the bit groups mapped
     with ``map_bits``, zero-padded to whole slot pairs of frames, and one
     call of each stage over every (pair, subcarrier) block at once, on the
-    three child streams, in ``dtype`` (the engine's ``LINK_DTYPE`` unless
-    given).  Returns the estimates of the groups' symbols in stream order
-    and the redraw count."""
+    three child streams, on ``engine.N_RX`` receive antennas, in ``dtype``
+    (the engine's ``LINK_DTYPE`` unless given).  Returns the estimates of the
+    groups' symbols in stream order and the redraw count."""
     from mclink.channel import NoiseConfig, apply_channel, draw_channel
     from mclink.engine import LINK_DTYPE, _redraw_weak_blocks
     from mclink.mimo import build_effective, realzf_detect, stbc_encode, zf_detect
@@ -542,7 +603,7 @@ def detect_alamouti_untiled(cfg, c, groups, snr_db, rng, dtype=None):
     gain_rng, noise_rng, redraw_rng = rng.spawn(3)
     x = ofdm_modulate(stbc_encode(frames), cfg.cp_len)
     x_freq = ofdm_demodulate(x, cfg.cp_len)
-    h = draw_channel(gain_rng, n_sc, n_blocks=frames.shape[0] // 2, n_rx=cfg.n_rx,
+    h = draw_channel(gain_rng, n_sc, n_blocks=frames.shape[0] // 2, n_rx=engine.N_RX,
                      dtype=dtype)
     redraws = _redraw_weak_blocks(h, redraw_rng)
     y = apply_channel(x_freq, h, NoiseConfig(snr_db), noise_rng)
@@ -591,12 +652,10 @@ class TestTiledDetection:
     @pytest.mark.parametrize("detector", ["zf", "realzf"])
     @pytest.mark.parametrize("n_rx", [1, 4])
     def test_estimates_equal_untiled(self, monkeypatch, n_sc, n_pairs, detector, n_rx):
-        from mclink import engine
-
         step = max(1, engine.TILE_BLOCKS // n_sc)
         assert n_pairs > step and (n_pairs % step or step == 1)
-        cfg = fast_profile(n_subcarriers=n_sc, cp_len=min(16, n_sc), detector=detector,
-                           n_rx=n_rx)
+        monkeypatch.setattr(engine, "N_RX", n_rx)
+        cfg = fast_profile(n_subcarriers=n_sc, cp_len=min(16, n_sc), detector=detector)
         c = modem.get_constellation("16qam")
         n_symbols = (2 * n_pairs - 1) * n_sc + 1
         groups = random_groups(n_sc, n_symbols, c)
@@ -781,8 +840,9 @@ class TestAnalyticOracle:
         (1, False, 5.0), (2, False, 0.0), (4, False, -5.0),
         (1, True, 0.0), (2, True, 5.0), (4, True, 0.0),
     ])
-    def test_uncoded_qpsk_matches_mrc_closed_form(self, n_rx, split, snr_db):
-        cfg = fast_profile(n_rx=n_rx, seed=123)
+    def test_uncoded_qpsk_matches_mrc_closed_form(self, monkeypatch, n_rx, split, snr_db):
+        monkeypatch.setattr(engine, "N_RX", n_rx)
+        cfg = fast_profile(seed=123)
         grid_db = snr_db - 10.0 * math.log10(2.0) if split else snr_db
         rates = []
         for chunk in range(20):

@@ -4,10 +4,11 @@ Two goldens live under tests/data:
 
 * ``golden``: a fast-profile zf sweep (qpsk/16qam/64qam x -5/0/5 dB);
 * ``golden_realzf``: the paths the first one misses -- the ``realzf``
-  detector, two receive antennas and a 2560-subcarrier frame, wider than one
-  tile of the link, at -3 and 2 dB, where every point counts errors.  Its
-  grid has no -5 dB point, so no gain against the fixed reference (64-QAM at
-  -5 dB) can be read and its gains.csv is the header line alone.
+  detector, two receive antennas (``engine.N_RX`` set to 2 while it runs)
+  and a 2560-subcarrier frame, wider than one tile of the link, at -3 and
+  2 dB, where every point counts errors.  Its grid has no -5 dB point, so no
+  gain against the fixed reference (64-QAM at -5 dB) can be read and its
+  gains.csv is the header line alone.
 
 Both were written by the code that runs the link one tile of slot pairs at a
 time, on one SFC64 generator per chunk, with each chunk's gains, noise and
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from mclink import compute_gains, emit_results, fast_profile, sweep
+from mclink import compute_gains, emit_results, engine, fast_profile, sweep
 
 DATA = Path(__file__).resolve().parent / "data"
 FILES = ("ber.csv", "gains.csv")
@@ -52,7 +53,6 @@ def realzf_golden_config():
         n_subcarriers=2560,
         cp_len=64,
         detector="realzf",
-        n_rx=2,
         min_bits=25_000,
         max_bits=25_000,
         seed=977,
@@ -60,17 +60,22 @@ def realzf_golden_config():
     )
 
 
-GOLDENS = {"golden": golden_config, "golden_realzf": realzf_golden_config}
+#: Each golden's config and the receive antenna count ``engine.N_RX`` it runs at.
+GOLDENS = {"golden": (golden_config, 4), "golden_realzf": (realzf_golden_config, 2)}
 
 
-def write_sweep(cfg, out_dir: Path) -> None:
-    records = sweep(cfg)
+def write_sweep(name, out_dir: Path) -> None:
+    make_config, n_rx = GOLDENS[name]
+    cfg = make_config()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "N_RX", n_rx)
+        records = sweep(cfg)
     emit_results(records, compute_gains(records, cfg), cfg, out_dir, 0.0)
 
 
 def _fresh(tmp_path_factory, name):
     out = tmp_path_factory.mktemp(name)
-    write_sweep(GOLDENS[name](), out)
+    write_sweep(name, out)
     return out
 
 
@@ -95,7 +100,7 @@ def test_realzf_wide_frame_bytes_match_golden(fresh_realzf, name):
 
 
 if __name__ == "__main__":
-    for name, make_config in GOLDENS.items():
+    for name in GOLDENS:
         out = DATA / name
-        write_sweep(make_config(), out)
+        write_sweep(name, out)
         (out / "manifest.json").unlink()
