@@ -34,7 +34,7 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -67,8 +67,6 @@ N_RX = 4
 #: tile's blocks, a few hundred contiguous subcarriers per slot pair.  A tile
 #: holds whole slot pairs, at least one.
 TILE_BLOCKS = 2048
-
-_sweep = threading.local()  # a sweep thread's ``stop`` event: once set, its chunk streams end
 
 # glibc gives the heap's free top back to the kernel above twice the largest
 # mmapped block freed so far (mallopt(3)).  A tile's arrays are at most
@@ -184,22 +182,24 @@ def _stop_rule(cfg: SimConfig, name: str, snr_db: float, chunks) -> BerRecord:
     raise RuntimeError(f"{name} at {snr_db} dB: the chunk stream ended before the point stopped")
 
 
-def run_chain(cfg: SimConfig, modulation: str, snr_db: float) -> BerRecord:
-    """One point, deterministic in (cfg, seed): its chunks fed lazily to the stop rule."""
+def run_chain(cfg: SimConfig, modulation: str, snr_db: float, *, stop=None) -> BerRecord:
+    """One point, deterministic in (cfg, seed): its chunks fed lazily to the
+    stop rule, until a set ``stop`` event ends the stream before its next chunk."""
     name = modem.get_constellation(modulation).name
-    stop = getattr(_sweep, "stop", threading.Event())
-    ks = itertools.takewhile(lambda _: not stop.is_set(), itertools.count())
+    ks = itertools.takewhile(lambda _: stop is None or not stop.is_set(), itertools.count())
     return _stop_rule(cfg, name, snr_db, (_run_chunk(cfg, name, snr_db, k) for k in ks))
 
 
 def sweep(cfg: SimConfig) -> list[BerRecord]:
-    """Every modulation at every grid SNR, in row order, on min(workers, usable CPUs) threads."""
-    points = [(mod, snr) for mod in cfg.modulations for snr in cfg.snr_grid_db]
+    """Every grid point in row order on min(workers, usable CPUs) threads; a failure raises at once."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     stop = threading.Event()
-    with ThreadPoolExecutor(min(cfg.workers, cpus), initializer=setattr,
-                            initargs=(_sweep, "stop", stop)) as pool:
+    with ThreadPoolExecutor(min(cfg.workers, cpus)) as pool:
         try:
-            return list(pool.map(lambda p: run_chain(cfg, p[0], p[1]), points))
-        finally:  # map cancels the queued points; the running ones end before their next chunk
+            points = [pool.submit(run_chain, cfg, mod, snr, stop=stop)
+                      for mod in cfg.modulations for snr in cfg.snr_grid_db]
+            done, _ = wait(points, return_when=FIRST_EXCEPTION)  # all of them unless one failed
+            return [p.result() for p in sorted(done, key=points.index)]
+        finally:  # running points end before their next chunk; queued ones never start
             stop.set()
+            pool.shutdown(wait=False, cancel_futures=True)

@@ -366,9 +366,9 @@ class TestSweep:
         threads = set()
         real_run_chain = engine.run_chain
 
-        def record(cfg, modulation, snr_db):
+        def record(cfg, modulation, snr_db, *, stop=None):
             threads.add(threading.get_ident())
-            return real_run_chain(cfg, modulation, snr_db)
+            return real_run_chain(cfg, modulation, snr_db, stop=stop)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(engine, "run_chain", record)
@@ -386,9 +386,13 @@ class TestSweep:
         import threading
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        real_run_chunk = engine._run_chunk
+        real_run_chain, real_run_chunk = engine.run_chain, engine._run_chunk
         running = threading.Event()
-        chunks, stopped = [], []
+        stops, chunks, stopped = [], [], []
+
+        def run_chain(cfg, modulation, snr_db, *, stop=None):
+            stops.append(stop)
+            return real_run_chain(cfg, modulation, snr_db, stop=stop)
 
         def run_chunk(cfg, modulation, snr_db, chunk):
             if modulation == "64qam":
@@ -396,10 +400,11 @@ class TestSweep:
                 raise MemoryError
             chunks.append((modulation, chunk))
             running.set()
-            # the sweep thread's stop, set once the failure is out of the pool
-            stopped.append(engine._sweep.stop.wait(10))
+            # the sweep's stop event, set once the failure is out of the pool
+            stopped.append(stops[0].wait(10))
             return real_run_chunk(cfg, modulation, snr_db, chunk)
 
+        monkeypatch.setattr(engine, "run_chain", run_chain)
         monkeypatch.setattr(engine, "_run_chunk", run_chunk)
         cfg = tiny_cfg(modulations=("64qam", "qpsk", "8psk"), snr_grid_db=(-5.0,),
                        min_bits=1_000_000, max_bits=1_000_000, workers=2)
@@ -407,6 +412,45 @@ class TestSweep:
             sweep(cfg)
         assert chunks in ([("qpsk", 0)], [("qpsk", 0), ("8psk", 0)])
         assert all(stopped)
+        # every point of the sweep was handed the one stop event
+        assert all(stop is stops[0] for stop in stops)
+
+    def test_failed_point_ends_the_sweep_before_earlier_rows_finish(self, monkeypatch):
+        # the second row fails on its first chunk while the first row runs:
+        # sweep raises the failure at once, without waiting for the first
+        # row, and after the failing chunk each of the two threads starts at
+        # most one more chunk.  A chunk started after the failure holds until
+        # the stop event is set, so the count does not depend on scheduling;
+        # a sweep that waited for the first row would time that hold out
+        import os
+        import threading
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        real_run_chain, real_run_chunk = engine.run_chain, engine._run_chunk
+        failed = threading.Event()
+        stops, after = [], []
+
+        def run_chain(cfg, modulation, snr_db, *, stop=None):
+            stops.append(stop)
+            return real_run_chain(cfg, modulation, snr_db, stop=stop)
+
+        def run_chunk(cfg, modulation, snr_db, chunk):
+            if modulation == "64qam":
+                failed.set()
+                raise MemoryError("64qam")
+            if failed.is_set():
+                after.append(threading.get_ident())
+                if not stops[0].wait(10):
+                    raise TimeoutError("the sweep did not stop after the failed point")
+            return real_run_chunk(cfg, modulation, snr_db, chunk)
+
+        monkeypatch.setattr(engine, "run_chain", run_chain)
+        monkeypatch.setattr(engine, "_run_chunk", run_chunk)
+        cfg = tiny_cfg(modulations=("qpsk", "64qam", "8psk"), snr_grid_db=(-5.0,),
+                       min_bits=1_000_000, max_bits=1_000_000, workers=2)
+        with pytest.raises(MemoryError, match="64qam"):
+            sweep(cfg)
+        assert len(after) == len(set(after))  # at most one chunk per thread
 
     def test_ber_decreases_with_snr(self):
         cfg = tiny_cfg(modulations=("qpsk",), min_bits=20_000, max_bits=20_000,
@@ -853,6 +897,67 @@ class TestAnalyticOracle:
         # that cluster within a fading block
         stderr = np.std(rates, ddof=1) / math.sqrt(len(rates))
         assert abs(np.mean(rates) - expected) <= 4.0 * stderr
+
+
+def equivalent_channel_chunk(cfg, modulation, snr_db, chunk):
+    """Chunk ``chunk`` through the chain's bit stages with the link replaced
+    by its equivalent channel: each ZF estimate is a + n, n ~ CN(0, sigma2/g),
+    with g = sum |h|^2 ~ Gamma(2 N_RX, 1) drawn once per Alamouti block, the
+    block shared by symbols k and k + n_subcarriers of a slot pair.  The
+    payload comes from the chunk's own stream, the fading and noise from a
+    generator of the test's; returns (bits, errors)."""
+    from mclink.bits import conv_encode, despread, spread, viterbi_decode
+    from mclink.channel import NoiseConfig
+    from mclink.engine import _chunk_rng
+
+    c = modem.get_constellation(modulation)
+    source = chunk_source(_chunk_rng(cfg.seed, c.name, snr_db, chunk))
+    payload = source.generate(cfg.chunk_payload_bits)
+    payload = payload.reshape(cfg.frames_per_chunk, cfg.frame_payload_bits)
+    coded = conv_encode(spread(payload))
+    coded_len = coded.shape[-1]
+    pad = np.zeros(coded.shape[:-1] + ((-coded_len) % c.bits_per_symbol,), dtype=np.uint8)
+    coded = np.concatenate([coded, pad], axis=-1)
+    a = modem.map_bits(coded.reshape(-1), c)
+
+    rng = np.random.default_rng([cfg.seed, chunk])
+    n_sc = cfg.n_subcarriers
+    i = np.arange(a.size)
+    block = i // (2 * n_sc) * n_sc + i % n_sc
+    g = rng.gamma(2 * engine.N_RX, 1.0, block.max() + 1)[block]
+    sigma2 = NoiseConfig(effective_es_n0_db(c, snr_db)).sigma2
+    noise = rng.standard_normal(a.size) + 1j * rng.standard_normal(a.size)
+    est = a + noise * np.sqrt(sigma2 / (2.0 * g))
+
+    hard = modem.demap_symbols(est, c).reshape(coded.shape)[..., :coded_len]
+    rx_payload = despread(viterbi_decode(hard))
+    return payload.size, int(np.count_nonzero(rx_payload != payload))
+
+
+class TestCodedOracle:
+    # The coded, spread chain against its equivalent channel, chunk by
+    # chunk on the fast frame.  The standard error is the batch means' of
+    # the per-chunk BER differences, so it counts errors that cluster within
+    # a fading block or a Viterbi burst.  The seed and the 3-standard-error
+    # tolerance are fixed, not tuned to the outcome
+    CHUNKS = 16
+
+    @pytest.mark.parametrize("modulation", ["qpsk", "16qam", "64qam"])
+    @pytest.mark.parametrize("snr_db", [-5.0, 0.0])
+    def test_chain_matches_equivalent_channel(self, record_property, modulation, snr_db):
+        from mclink.engine import _run_chunk
+
+        cfg = fast_profile(seed=321)
+        diffs = []
+        for chunk in range(self.CHUNKS):
+            bits, errors, _ = _run_chunk(cfg, modulation, snr_db, chunk)
+            model_bits, model_errors = equivalent_channel_chunk(cfg, modulation, snr_db, chunk)
+            diffs.append(errors / bits - model_errors / model_bits)
+        mean, stderr = np.mean(diffs), np.std(diffs, ddof=1) / math.sqrt(len(diffs))
+        z = f"{mean / stderr:+.2f}" if stderr else "no errors on either side"
+        record_property("z", z)
+        print(f"{modulation} at {snr_db:+.0f} dB: z = {z}")
+        assert abs(mean) <= 3.0 * stderr
 
 
 class TestChunkMemory:

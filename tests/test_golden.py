@@ -25,13 +25,20 @@ A change that alters RNG consumption on purpose regenerates both with
 
 and says why in CHANGES.md.
 """
+import hashlib
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mclink import compute_gains, emit_results, engine, fast_profile, sweep
 
-DATA = Path(__file__).resolve().parent / "data"
+TESTS = Path(__file__).resolve().parent
+DATA = TESTS / "data"
 FILES = ("ber.csv", "gains.csv")
 
 
@@ -97,6 +104,70 @@ def test_sweep_bytes_match_golden(fresh, name):
 @pytest.mark.parametrize("name", FILES)
 def test_realzf_wide_frame_bytes_match_golden(fresh_realzf, name):
     assert (fresh_realzf / name).read_bytes() == (DATA / "golden_realzf" / name).read_bytes()
+
+
+def tile_digest() -> str:
+    """sha256 of one complex64 ``complex_normal`` tile of the fast frame's
+    link, (slot pairs, receive antennas, 2, subcarriers) = (8, 4, 2, 256)."""
+    from mclink.channel import complex_normal
+
+    rng = np.random.Generator(np.random.SFC64(411))
+    return hashlib.sha256(complex_normal(rng, (8, 4, 2, 256), np.complex64).tobytes()).hexdigest()
+
+
+#: Both goldens written in a child process that runs the given numpy SIMD
+#: dispatch or OpenBLAS kernel; it prints the groups it was told to disable
+#: that are still on ("-" for none), then the tile digest.
+CHILD = f"""
+import os, sys
+sys.path.insert(0, {str(TESTS)!r})
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_features__
+from test_golden import GOLDENS, tile_digest, write_sweep
+for name in GOLDENS:
+    write_sweep(name, Path(sys.argv[1]) / name)
+off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
+print(" ".join(n for n in off if __cpu_features__.get(n)) or "-")
+print(tile_digest())
+"""
+
+_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+@pytest.mark.parametrize("env", [
+    {"NPY_DISABLE_CPU_FEATURES": _AVX512},
+    {"NPY_DISABLE_CPU_FEATURES": _AVX512 + " X86_V3"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+], ids=["no_avx512", "no_avx2", "openblas_haswell"])
+def test_goldens_hold_across_simd_levels_and_blas_kernels(env, tmp_path, record_property):
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    # numpy refuses to import when told to disable a group it does not dispatch
+    missing = set(env.get("NPY_DISABLE_CPU_FEATURES", "").split()) - set(__cpu_dispatch__)
+    if missing:
+        pytest.skip(f"numpy dispatches no {', '.join(sorted(missing))} here")
+    if "OPENBLAS_CORETYPE" in env and platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("OpenBLAS's Haswell kernels are x86-64 only")
+    child_env = {k: v for k, v in os.environ.items()
+                 if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    src = str(TESTS.parent / "src")
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child_env.update(env)
+    done = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], env=child_env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    still_on, digest = done.stdout.split("\n")[-3:-1]
+    assert still_on == "-", f"numpy kept {still_on} on"
+    for name in GOLDENS:
+        for file in FILES:
+            assert (tmp_path / name / file).read_bytes() == (DATA / name / file).read_bytes(), \
+                f"{name}/{file}"
+    # reported, not asserted: the draw's float32 cos and sin may round
+    # differently at another SIMD level
+    kept = digest == tile_digest()
+    record_property("complex64_tile_bytes", "kept" if kept else "changed")
+    print(f"{'/'.join(env.values())}: one complex64 complex_normal tile's bytes",
+          "kept" if kept else "changed")
 
 
 if __name__ == "__main__":

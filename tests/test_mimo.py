@@ -446,6 +446,50 @@ class TestComplex64:
         assert 100 < ok.sum() < n - 100
 
 
+def closed_form_combiner(h, y):
+    """Alamouti's combiner on gains and slots (..., n_rx, 2), by the Gram
+    matrix g I: a1 = sum(conj(h1) y1 + h2 conj(y2)) / g and
+    a2 = sum(conj(h2) y1 - h1 conj(y2)) / g, g = sum |h|^2."""
+    h1, h2, y1, y2 = h[..., 0], h[..., 1], y[..., 0], np.conj(y[..., 1])
+    g = (np.square(h.real) + np.square(h.imag)).sum(axis=(-2, -1))
+    a1 = (np.conj(h1) * y1 + h2 * y2).sum(axis=-1) / g
+    a2 = (np.conj(h2) * y1 - h1 * y2).sum(axis=-1) / g
+    return np.stack([a1, a2], axis=-1)
+
+
+class TestClosedFormCombiner:
+    # the ZF trio on an Alamouti block equals the closed-form combiner, the
+    # Gram matrix being sum |h|^2 times the identity
+    @staticmethod
+    def draws(n_rx, dtype):
+        """Gains and noisy slots at 0 dB from draw_channel and apply_channel,
+        in their draw layout and in C order."""
+        rng = np.random.default_rng(90 + n_rx)
+        c = modem.get_constellation("16qam")
+        n_sc, n_blocks = 24, 10
+        frames = c.points[rng.integers(0, c.order, (2 * n_blocks, n_sc))].astype(dtype)
+        h = draw_channel(rng, n_sc, n_blocks=n_blocks, n_rx=n_rx, dtype=dtype)
+        y = apply_channel(stbc_encode(frames), h, NoiseConfig(0.0), rng)
+        assert h.dtype == y.dtype == dtype
+        return {"draw_layout": (h, y),
+                "c_order": (np.ascontiguousarray(h), np.ascontiguousarray(y))}
+
+    @pytest.mark.parametrize("n_rx", [1, 2, 3, 4])
+    def test_equals_zf_in_complex128(self, n_rx):
+        for name, (h, y) in self.draws(n_rx, np.complex128).items():
+            est = zf_detect(build_effective(h, y)).estimates
+            assert np.max(np.abs(closed_form_combiner(h, y) - est)) <= 1e-12, name
+
+    @pytest.mark.parametrize("n_rx", [1, 2, 3, 4])
+    def test_near_zf_in_complex64(self, n_rx):
+        for name, (h, y) in self.draws(n_rx, np.complex64).items():
+            a = closed_form_combiner(h, y)
+            assert a.dtype == np.complex64, name
+            ref = zf_detect(build_effective(h.astype(complex), y.astype(complex))).estimates
+            # relative to the estimate, floored at the unit symbol energy
+            assert np.all(np.abs(a - ref) <= 1e-5 * np.maximum(np.abs(ref), 1.0)), name
+
+
 def real_decomposition_reference(h, y):
     """``real_decomposition`` by 16 strided block writes and 4 receive writes,
     its first construction."""
