@@ -46,8 +46,9 @@ from .mimo import build_effective, realzf_detect, stbc_encode, zf_detect
 from .ofdm import ofdm_demodulate, ofdm_modulate
 from .results import BerRecord, compute_gains, emit_results  # noqa: F401 - re-exported for tests
 
-#: Blocks whose total channel energy falls below this are redrawn.  A drawn
-#: gain's |z|^2 is at least 1.16e-10, so only injected blocks fall below it.
+#: Blocks whose total channel energy falls below this are redrawn, once: a
+#: drawn gain's |z|^2 is at least 1.16e-10, so a drawn block carries at least
+#: 2 N_RX 1.16e-10, 233x this at one antenna; only injected blocks fall below.
 GRAM_FLOOR = 1e-12
 
 #: Bit errors that stop a point once it has ``min_bits``: the fixed error target.
@@ -94,16 +95,13 @@ def effective_es_n0_db(c: modem.Constellation, snr_db: float) -> float:
 def _redraw_weak_blocks(h: np.ndarray, rng: np.random.Generator) -> int:
     """Replace blocks of ``h`` with numerically zero energy in place; returns
     the redraw count."""
-    total = 0
-    while True:
-        # per-block channel energy, the sum of |h|^2 over its N_RX x 2 gains
-        energy = (np.square(h.real) + np.square(h.imag)).sum(axis=(-2, -1))
-        bad = ~(energy > GRAM_FLOOR)
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad == 0:
-            return total
-        total += n_bad
+    # per-block channel energy, the sum of |h|^2 over its N_RX x 2 gains
+    energy = (np.square(h.real) + np.square(h.imag)).sum(axis=(-2, -1))
+    bad = ~(energy > GRAM_FLOOR)
+    n_bad = int(np.count_nonzero(bad))
+    if n_bad:  # one pass: a drawn block clears GRAM_FLOOR, so no redraw is weak
         h[bad] = complex_normal(rng, (n_bad,) + h.shape[-2:], dtype=h.dtype)
+    return n_bad
 
 
 def _detect_alamouti(cfg: SimConfig, c: modem.Constellation, groups: np.ndarray,
@@ -199,7 +197,7 @@ def sweep(cfg: SimConfig) -> list[BerRecord]:
             points = [pool.submit(run_chain, cfg, mod, snr, stop=stop)
                       for mod in cfg.modulations for snr in cfg.snr_grid_db]
             done, _ = wait(points, return_when=FIRST_EXCEPTION)  # all of them unless one failed
-            return [p.result() for p in sorted(done, key=points.index)]
+            return [p.result() for p in points if p in done]
         finally:  # running points end before their next chunk; queued ones never start
             stop.set()
             pool.shutdown(wait=False, cancel_futures=True)

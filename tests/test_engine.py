@@ -452,6 +452,32 @@ class TestSweep:
             sweep(cfg)
         assert len(after) == len(set(after))  # at most one chunk per thread
 
+    def test_rows_in_grid_order_when_a_later_row_finishes_first(self, monkeypatch):
+        # the first row's first chunk holds until the second row has returned
+        import os
+        import threading
+
+        cfg = tiny_cfg(modulations=("qpsk", "8psk"), snr_grid_db=(-5.0,), workers=2)
+        expected = [run_chain(cfg, "qpsk", -5.0), run_chain(cfg, "8psk", -5.0)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        real_run_chain, real_run_chunk = engine.run_chain, engine._run_chunk
+        second_done = threading.Event()
+
+        def run_chain_(cfg, modulation, snr_db, *, stop=None):
+            record = real_run_chain(cfg, modulation, snr_db, stop=stop)
+            if modulation == "8psk":
+                second_done.set()
+            return record
+
+        def run_chunk(cfg, modulation, snr_db, chunk):
+            if modulation == "qpsk" and chunk == 0:
+                assert second_done.wait(10)
+            return real_run_chunk(cfg, modulation, snr_db, chunk)
+
+        monkeypatch.setattr(engine, "run_chain", run_chain_)
+        monkeypatch.setattr(engine, "_run_chunk", run_chunk)
+        assert sweep(cfg) == expected
+
     def test_ber_decreases_with_snr(self):
         cfg = tiny_cfg(modulations=("qpsk",), min_bits=20_000, max_bits=20_000,
                        snr_grid_db=(-10.0, -5.0, 0.0))
@@ -617,6 +643,55 @@ class TestRedraws:
             ref = complex_normal(chunk_stream(0), (6, 4, 2))
             assert np.array_equal(redrawn[1], ref[:5])
             assert np.array_equal(redrawn[2, 3], ref[5])
+
+    def test_drawn_blocks_clear_the_floor(self):
+        # the single redraw pass rests on this floor: every word's low half is
+        # 0xFFFFFFFF, the smallest |z|^2, under phases across the whole circle
+        from types import SimpleNamespace
+
+        from mclink.channel import draw_channel
+        from mclink.engine import _redraw_weak_blocks
+
+        def random_raw(n):
+            high = np.linspace(0, 2**32 - 1, n).astype(np.uint64)
+            return (high << np.uint64(32)) | np.uint64(0xFFFFFFFF)
+
+        stub = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
+        for n_rx, dtype in itertools.product((1, 2, 4), (np.complex64, np.complex128)):
+            h = draw_channel(stub, 64, n_blocks=16, n_rx=n_rx, dtype=dtype)
+            energy = (np.square(h.real) + np.square(h.imag)).sum(axis=(-2, -1))
+            assert energy.min() >= 2 * n_rx * 1.16e-10
+            assert _redraw_weak_blocks(h, chunk_stream(0)) == 0
+
+    def test_weak_redraw_fails_in_detection_after_one_pass(self, monkeypatch):
+        # a redraw source that yields a weak block is redrawn from once, and
+        # the block then fails in detection instead of being redrawn again
+        from mclink import channel
+        from mclink.errors import SingularChannelError
+
+        c = modem.get_constellation("16qam")
+        groups = random_groups(2, 2 * 8 * 64, c)
+        real_draw = channel.draw_channel
+
+        def draw(rng, n_sc, n_blocks, n_rx, dtype):
+            h = real_draw(rng, n_sc, n_blocks=n_blocks, n_rx=n_rx, dtype=dtype)
+            h[3, 5] = 0.0
+            return h
+
+        def weak_normal(rng, shape, dtype=complex, scale=1.0):
+            calls.append(shape)
+            if len(calls) > 1:
+                raise AssertionError("redrawn twice")
+            return np.zeros(shape, dtype=dtype)
+
+        monkeypatch.setattr(engine, "draw_channel", draw)
+        monkeypatch.setattr(engine, "complex_normal", weak_normal)
+        for detector in ("zf", "realzf"):
+            cfg = fast_profile(n_subcarriers=64, cp_len=16, detector=detector)
+            calls = []
+            with pytest.raises(SingularChannelError):
+                engine._detect_alamouti(cfg, c, groups, 3.0, chunk_stream(40))
+            assert calls == [(1, engine.N_RX, 2)]
 
 
 def chunk_stream(seed):
